@@ -31,7 +31,7 @@ bench-ci:
 		./internal/queue ./internal/list ./internal/skiplist | tee bench.txt
 	$(GO) test -run='^$$' -bench='BenchmarkServerTCP(Pipelined|StringMap|Txn|ReadMostly|Adaptive|Snapshot)|BenchmarkReadBypassSteady' -benchmem -count=5 \
 		./internal/server | tee -a bench.txt
-	$(GO) test -run='^$$' -bench='BenchmarkMailboxRingVsChan' -benchmem -count=5 \
+	$(GO) test -run='^$$' -bench='BenchmarkMailboxVsChan' -benchmem -count=5 \
 		./internal/mailbox | tee -a bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -out BENCH_ci.json -gate 'Epoch.*Steady|ReadBypassSteady' \
 		-require 'ServerTCPTxn:commits/op' \

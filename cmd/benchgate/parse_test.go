@@ -174,7 +174,7 @@ func TestNormalizeName(t *testing.T) {
 	for in, want := range map[string]string{
 		"BenchmarkServerTCPPipelined-8":         "BenchmarkServerTCPPipelined",
 		"BenchmarkServerTCPPipelined":           "BenchmarkServerTCPPipelined",
-		"BenchmarkMailboxRingVsChan/ring-16":    "BenchmarkMailboxRingVsChan/ring",
+		"BenchmarkMailboxVsChan/mailbox-16":     "BenchmarkMailboxVsChan/mailbox",
 		"BenchmarkServerTCPPipelined/depth=8-2": "BenchmarkServerTCPPipelined/depth=8",
 	} {
 		if got := normalizeName(in); got != want {

@@ -1,203 +1,78 @@
-// Package mailbox provides the lock-free MPSC handoff between the
-// server's connection goroutines (many producers) and a shard goroutine
-// (one consumer): a bounded Vyukov-style ring of sequence-stamped slots
-// with cache-line-padded head and tail, wrapped in a spin-then-park
-// consumer protocol.
+// Package mailbox provides the MPSC handoff between the server's
+// connection goroutines (many producers) and whoever holds a shard's
+// combiner lock (one consumer at a time): a bounded queue made of one
+// mutex and two slices, plus a spin-then-park wait for the shard's
+// fallback goroutine.
 //
-// The ring replaces a buffered Go channel on the hot path. A channel
-// send/receive takes the hchan mutex and, on an empty queue, parks the
-// consumer through the scheduler on every wakeup; under a pipelined
-// producer that costs one park/unpark round per batch. Here a producer
-// claims a slot with one CAS on the tail, publishes with one atomic
-// store of the slot's sequence stamp, and the consumer takes with plain
-// loads plus one store — no locks anywhere. The consumer only touches
-// the scheduler when the ring stays empty past its spin budget, and the
-// producer only wakes it through a single parked-flag handshake (a
-// futex-style wake: flag CAS, then one signal), so a saturated mailbox
-// runs entirely on atomics.
+// Producers append to the in slice under the mutex. The consumer takes
+// from a private out slice with no synchronization, and only when out
+// runs dry does it lock once to swap the two slices whole — one lock per
+// run of batches, not per batch. An atomic size (published, not yet
+// taken) serves the empty poll and the parked waiter without the mutex.
 //
-// Shutdown is an atomic stop flag, not a closed channel: Close makes
-// every subsequent Put fail fast while the consumer keeps draining what
-// was already published, so no accepted value is ever lost — the
-// close/publish race is resolved by an in-flight producer count (see
-// Put and Get).
+// A mutex is enough because the mailbox is the hot path's least-used
+// corner. The handoff win the server measures (EXPERIMENTS.md E19) comes
+// from the protocol — publish quietly, let the submitting caller combine
+// under the shard lock, never issue a wakeup nobody needs — and under it
+// 99.5–99.99 % of combining passes run on the caller, the handoff costing
+// 0.3–2.8 % of a batch. This queue replaced a lock-free Vyukov ring and
+// tied it end to end on every workload (E19 addendum).
+//
+// Shutdown is a stop flag, not a closed channel: Close fails every later
+// PutQuiet while the consumer keeps draining. Publish and the closed
+// check share the mutex, so a value is either refused or visible to the
+// drain — none is lost.
 package mailbox
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
-// slot is one ring cell. seq carries the Vyukov sequence stamp: it
-// equals the claim position when the slot is free for a producer, the
-// claim position + 1 once the value is published, and advances by the
-// capacity when the consumer frees it for the next lap. val is written
-// by exactly one producer (between its tail CAS and its seq publish)
-// and read by the single consumer after it observes the published
-// stamp, so the seq store/load pair is the only synchronization the
-// payload needs.
-//
-// Slots are deliberately not padded: the consumer walks every slot in
-// order anyway, and padding would multiply the footprint for a false-
-// sharing pattern the MPSC shape mostly avoids (producers touch
-// distinct slots, the consumer trails them by a lap).
-type slot[T any] struct {
-	seq atomic.Uint64
-	val T
-}
-
-// pad keeps the hot atomics on private cache lines: producers hammer
-// tail, the consumer owns head, and neither should invalidate the
-// other's line (or the read-mostly mask/slots header) on every
-// operation.
-type pad [64]byte
-
-// Ring is the bounded lock-free MPSC ring buffer. Many goroutines may
-// TryPut concurrently; exactly one goroutine may TryGet.
-type Ring[T any] struct {
-	_     pad
-	tail  atomic.Uint64 // next position a producer claims
-	_     pad
-	head  atomic.Uint64 // next position the consumer takes
-	_     pad
-	mask  uint64
-	slots []slot[T]
-}
-
-// NewRing builds a ring with the given capacity (rounded up to a power
-// of two, minimum 2).
-func NewRing[T any](capacity int) *Ring[T] {
-	c := 2
-	for c < capacity {
-		c <<= 1
-	}
-	r := &Ring[T]{mask: uint64(c - 1), slots: make([]slot[T], c)}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// Cap reports the slot count.
-func (r *Ring[T]) Cap() int { return len(r.slots) }
-
-// TryPut claims a slot, stores v, and publishes it. It returns false
-// when the ring is full. Safe for any number of concurrent callers.
-//
-// All position comparisons go through signed differences of unsigned
-// stamps, so the ring stays correct when positions wrap the integer
-// range — the whitebox wraparound tests drive positions across 2^32
-// and the 2^64 boundary to pin this down.
-func (r *Ring[T]) TryPut(v T) bool {
-	for {
-		pos := r.tail.Load()
-		s := &r.slots[pos&r.mask]
-		switch dif := int64(s.seq.Load() - pos); {
-		case dif == 0: // free for this lap: race other producers for it
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				s.val = v
-				s.seq.Store(pos + 1) // publish
-				return true
-			}
-		case dif < 0: // still holds last lap's value: full
-			return false
-		default: // another producer already claimed pos: reload tail
-		}
-	}
-}
-
-// TryGet takes the next published value, if any. Single consumer only.
-func (r *Ring[T]) TryGet() (T, bool) {
-	var zero T
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	if int64(s.seq.Load()-(pos+1)) < 0 {
-		return zero, false // claimed but unpublished, or empty
-	}
-	v := s.val
-	s.val = zero // drop the reference for GC
-	s.seq.Store(pos + uint64(len(r.slots)))
-	r.head.Store(pos + 1)
-	return v, true
-}
-
-// Empty reports whether every claimed slot has been consumed. Racy by
-// nature; the park protocol pairs it with the parked-flag handshake.
-func (r *Ring[T]) Empty() bool { return r.head.Load() == r.tail.Load() }
-
-// CanGet reports whether TryGet would succeed right now: the head slot
-// holds a published, unconsumed value. Unlike Empty it ignores slots
-// that are claimed but not yet published, so a waiter keying off CanGet
-// never busy-loops against a producer mid-publish. Racy by nature, but
-// one-sided: when consumers are serialized (see Mailbox.WaitNonempty),
-// a false result proves every value published before the call has been
-// consumed — a concurrent consume or publish can only flip the answer
-// toward true.
-func (r *Ring[T]) CanGet() bool {
-	pos := r.head.Load()
-	s := &r.slots[pos&r.mask]
-	return int64(s.seq.Load()-(pos+1)) >= 0
-}
-
-// jump repositions an idle ring at position pos (whitebox tests only:
-// it lets the wraparound tests start next to a stamp boundary instead
-// of producing 2^32 values). Callers must guarantee the ring is empty
-// and quiescent.
-func (r *Ring[T]) jump(pos uint64) {
-	r.head.Store(pos)
-	r.tail.Store(pos)
-	for i := range r.slots {
-		base := pos &^ r.mask // start of the current lap
-		idx := uint64(i)
-		if idx < pos&r.mask {
-			idx += uint64(len(r.slots)) // already consumed this lap
-		}
-		r.slots[i].seq.Store(base + idx)
-	}
-}
-
-// Mailbox couples a Ring with the consumer's spin-then-park protocol
-// and the producer-side wake handshake. One consumer, many producers.
+// Mailbox is the bounded MPSC queue plus the consumer-side wait. Any
+// goroutine may PutQuiet, Kick and Close; TryGet callers must be
+// serialized (the server's per-shard combiner lock does it);
+// WaitNonempty is for the one dedicated fallback consumer.
 type Mailbox[T any] struct {
-	ring *Ring[T]
+	mu sync.Mutex
+	in []T // published, not yet swapped out; guarded by mu
 
-	// closed is the atomic stop flag: once set, Put fails fast and Get
-	// returns ok=false as soon as the ring is drained. inflight counts
-	// producers between their closed-flag check and their publish (or
-	// abort), which is what lets the consumer decide "drained" without
-	// racing a publish-in-progress.
+	// out[pos:] is the run being consumed: touched only by TryGet, so
+	// guarded by whatever serializes its callers.
+	out []T
+	pos int
+
+	// size counts values published and not yet taken: len(in) plus the
+	// rest of out. Producers raise it inside mu after the append and only
+	// the consumer lowers it, so size > 0 with out exhausted proves in is
+	// non-empty. closed is set inside mu, after every accepted publish: a
+	// reader that sees closed also sees the final size.
+	size     atomic.Int64
 	closed   atomic.Bool
-	inflight atomic.Int64
+	capacity int64
 
-	// parked is the futex-style handshake word: the consumer sets it
-	// before blocking, and whoever CASes it back down owns the single
-	// wake send. wake never holds more than one signal (only CAS
-	// winners send, and the consumer consumes the signal before it can
-	// park again).
+	// parked is the futex-style handshake word: the waiter sets it before
+	// blocking, and whoever CASes it back down owns the single wake send,
+	// so wake never holds more than one signal.
 	parked atomic.Uint32
 	wake   chan struct{}
 
+	// For STATS: spins counts waits resolved in the spin phase (≥ 1 empty
+	// poll, no park), parks the times the budget ran out and it blocked.
 	spinBudget int
-
-	// Drain statistics for STATS: spins counts Gets resolved during the
-	// spin phase (the consumer found work after at least one empty poll
-	// without touching the scheduler), parks counts the times the spin
-	// budget ran out and the consumer actually blocked.
-	spins atomic.Int64
-	parks atomic.Int64
+	spins      atomic.Int64
+	parks      atomic.Int64
 }
 
-// DefaultSpinBudget is the empty-poll budget used when New is given a
-// non-positive budget: enough polling to ride out a producer that is
-// mid-publish or one scheduler quantum away, small enough that an idle
-// shard parks quickly. Each spin yields the processor, so the budget
-// costs scheduler passes, not busy-watts.
+// DefaultSpinBudget is the empty-poll budget New substitutes for 0: it
+// rides out a producer one scheduler quantum away, yet an idle shard
+// parks quickly. Each spin yields, costing scheduler passes, not watts.
 const DefaultSpinBudget = 64
 
-// New builds a mailbox with the given ring capacity. spinBudget is the
-// number of empty polls the consumer makes before parking; 0 selects
-// DefaultSpinBudget, and a negative budget disables spinning entirely
-// (the consumer parks on the first empty poll).
+// New builds a mailbox holding at most capacity unconsumed values.
+// spinBudget is the number of empty polls WaitNonempty makes before
+// parking: 0 selects DefaultSpinBudget, negative parks on the first.
 func New[T any](capacity, spinBudget int) *Mailbox[T] {
 	if spinBudget == 0 {
 		spinBudget = DefaultSpinBudget
@@ -205,202 +80,101 @@ func New[T any](capacity, spinBudget int) *Mailbox[T] {
 		spinBudget = 0
 	}
 	return &Mailbox[T]{
-		ring:       NewRing[T](capacity),
+		in:         make([]T, 0, capacity),
+		out:        make([]T, 0, capacity),
+		capacity:   int64(capacity),
 		wake:       make(chan struct{}, 1),
 		spinBudget: spinBudget,
 	}
 }
 
-// Cap reports the ring capacity.
-func (m *Mailbox[T]) Cap() int { return m.ring.Cap() }
+// SpinBudget reports the resolved empty-poll budget, Spins the waits
+// resolved in the spin phase, Parks how often the waiter blocked.
+func (m *Mailbox[T]) SpinBudget() int { return m.spinBudget }
+func (m *Mailbox[T]) Spins() int64    { return m.spins.Load() }
+func (m *Mailbox[T]) Parks() int64    { return m.parks.Load() }
 
-// Spins reports Gets resolved in the spin phase (≥ 1 empty poll, no
-// park).
-func (m *Mailbox[T]) Spins() int64 { return m.spins.Load() }
-
-// Parks reports how often the consumer exhausted its spin budget and
-// blocked.
-func (m *Mailbox[T]) Parks() int64 { return m.parks.Load() }
-
-// Put publishes v, backing off (yielding) while the ring is full. It
-// returns false — and v was not published — once the mailbox closes.
-func (m *Mailbox[T]) Put(v T) bool {
-	if m.closed.Load() {
-		return false
-	}
-	// Announce the publish-in-progress, then re-check the stop flag:
-	// either this producer sees the close and aborts, or the closer's
-	// drain check sees inflight > 0 and waits the publish out. Without
-	// the recheck a Put could slip between the consumer's last drain
-	// and its exit, stranding the value.
-	m.inflight.Add(1)
-	if m.closed.Load() {
-		m.abortPut()
-		return false
-	}
-	for !m.ring.TryPut(v) {
-		if m.closed.Load() {
-			m.abortPut()
-			return false
-		}
-		runtime.Gosched() // bounded backoff: the consumer needs the CPU to drain
-	}
-	m.inflight.Add(-1)
-	m.wakeConsumer()
-	return true
-}
-
-// PutQuiet publishes v like Put but never wakes the consumer on
-// success (abort paths still wake: a parked consumer deciding
-// "drained" must observe the in-flight count drop). It is the producer
-// half of the caller-combining protocol: a producer that will try to
-// drain the mailbox itself leaves the dedicated consumer parked, and
-// only Kicks it when it loses the combiner race.
+// PutQuiet publishes v, yielding while the mailbox is full, and never
+// wakes the parked consumer; false means closed, v not published. It is
+// the producer half of caller-combining: a producer about to drain the
+// mailbox itself leaves the consumer parked, Kicking only if it cannot.
 func (m *Mailbox[T]) PutQuiet(v T) bool {
-	if m.closed.Load() {
-		return false
-	}
-	m.inflight.Add(1)
-	if m.closed.Load() {
-		m.abortPut()
-		return false
-	}
-	for !m.ring.TryPut(v) {
-		if m.closed.Load() {
-			m.abortPut()
-			return false
+	for {
+		m.mu.Lock()
+		closed, room := m.closed.Load(), m.size.Load() < m.capacity
+		if room && !closed {
+			m.in = append(m.in, v)
+			m.size.Add(1)
+		}
+		m.mu.Unlock()
+		if closed || room {
+			return !closed
 		}
 		runtime.Gosched() // bounded backoff: a consumer needs the CPU to drain
 	}
-	m.inflight.Add(-1)
-	return true
 }
 
-// Kick wakes the parked consumer, if any, without publishing anything:
-// the caller-combining fallback. A producer that published quietly and
-// then failed to become the combiner cannot know whether the active
-// combiner's final drain saw its value, so it kicks the dedicated
-// consumer to re-check (WaitNonempty's post-wake CanGet is decisive).
-func (m *Mailbox[T]) Kick() { m.wakeConsumer() }
-
-// TryPut publishes v without blocking; false when full or closed.
-func (m *Mailbox[T]) TryPut(v T) bool {
-	if m.closed.Load() {
-		return false
-	}
-	m.inflight.Add(1)
-	if m.closed.Load() || !m.ring.TryPut(v) {
-		m.abortPut()
-		return false
-	}
-	m.inflight.Add(-1)
-	m.wakeConsumer()
-	return true
-}
-
-// abortPut retires an announced-but-unpublished producer. The wake
-// matters: a consumer that parked while this producer was in flight is
-// waiting for either a publish or the in-flight count to hit zero, and
-// only a wake makes it re-check the latter.
-func (m *Mailbox[T]) abortPut() {
-	m.inflight.Add(-1)
-	m.wakeConsumer()
-}
-
-// wakeConsumer delivers the single pending wake if the consumer is
-// parked. Only the CAS winner sends, and the consumer drains the
-// channel before it can park again, so the buffered send cannot block;
-// the select is defensive.
-func (m *Mailbox[T]) wakeConsumer() {
+// Kick wakes the parked consumer, if any, without publishing. A producer
+// that published quietly and then lost the combiner race cannot know
+// whether the active combiner's final drain saw its value, so it kicks
+// the dedicated consumer to re-check. Only the CAS winner sends, and the
+// waiter takes the signal before it can re-park: the send cannot block.
+func (m *Mailbox[T]) Kick() {
 	if m.parked.Load() == 1 && m.parked.CompareAndSwap(1, 0) {
-		select {
-		case m.wake <- struct{}{}:
-		default:
-		}
+		m.wake <- struct{}{}
 	}
 }
 
-// Get returns the next value for the single consumer, spinning through
-// its budget of empty polls (each poll yields the processor) and then
-// parking until a producer's wake. ok=false means the mailbox is
-// closed and fully drained — the consumer's signal to exit.
-func (m *Mailbox[T]) Get() (T, bool) {
-	spins := 0
-	for {
-		if v, ok := m.ring.TryGet(); ok {
-			if spins > 0 {
-				m.spins.Add(1)
-			}
-			return v, true
+// TryGet takes the next published value without waiting; callers must
+// be serialized. The empty poll is one atomic load, and the mutex is
+// taken only to swap in a fresh run.
+func (m *Mailbox[T]) TryGet() (T, bool) {
+	var zero T
+	if m.pos == len(m.out) {
+		if m.size.Load() == 0 {
+			return zero, false // empty, or a producer is mid-publish
 		}
-		if m.drained() {
-			// inflight was zero after closed: every surviving publish
-			// is visible, so one final poll decides.
-			if v, ok := m.ring.TryGet(); ok {
-				return v, true
-			}
-			var zero T
-			return zero, false
-		}
-		if spins < m.spinBudget {
-			spins++
-			runtime.Gosched()
-			continue
-		}
-		// Budget exhausted: announce the park, then re-check for work.
-		// A producer that publishes after our announcement sees
-		// parked==1 and wakes; one that published before it is caught
-		// by the re-check. Both cannot miss.
-		m.parked.Store(1)
-		if !m.ring.Empty() || m.drained() {
-			if !m.parked.CompareAndSwap(1, 0) {
-				<-m.wake // a producer won the flag: consume its wake
-			}
-			spins = 0
-			continue
-		}
-		m.parks.Add(1)
-		<-m.wake
-		spins = 0
+		m.mu.Lock()
+		m.in, m.out = m.out[:0], m.in
+		m.mu.Unlock()
+		m.pos = 0
 	}
+	v := m.out[m.pos]
+	m.out[m.pos] = zero // drop the reference for GC
+	m.pos++
+	m.size.Add(-1)
+	return v, true
 }
 
-// TryGet takes the next published value without spinning or parking.
-func (m *Mailbox[T]) TryGet() (T, bool) { return m.ring.TryGet() }
-
-// WaitNonempty blocks — spin phase, then park — until the ring has a
-// published value (true) or the mailbox is closed and drained (false).
-// It consumes nothing: the caller takes with TryGet under whatever
-// discipline serializes its consumers (the server's per-shard combiner
-// lock). A true result is a hint, not a reservation — a competing
-// combiner may take the value first; the caller just waits again.
-//
-// After a park the spin budget is not re-entered before re-parking:
-// wakes are posted only after a publish, a close, or an abort, so a
-// woken waiter that finds no work and no shutdown knows the value was
-// already consumed by a competing combiner and can park right back.
+// WaitNonempty blocks — spin phase, then park — until the mailbox holds
+// a published value (true) or is closed and drained (false). It
+// consumes nothing and reads only the atomics; the caller takes with
+// TryGet. A true result is a hint, not a reservation: a competing
+// combiner may take the value first, and the caller just waits again.
+// A woken waiter re-parks without a fresh spin phase: wakes follow only
+// a publish or a close, so finding neither means a combiner got there.
 func (m *Mailbox[T]) WaitNonempty() bool {
 	spins := 0
 	for {
-		if m.ring.CanGet() {
+		if m.size.Load() > 0 {
 			if spins > 0 {
 				m.spins.Add(1)
 			}
 			return true
 		}
-		if m.drained() {
-			// inflight was zero after closed: every surviving publish
-			// is visible, so one final check decides.
-			return m.ring.CanGet()
+		if m.closed.Load() {
+			return m.size.Load() > 0 // every accepted publish precedes closed
 		}
 		if spins < m.spinBudget {
 			spins++
 			runtime.Gosched()
 			continue
 		}
-		// Announce the park, then re-check for work; see Get.
+		// Announce the park, then re-check: a Kick or Close after the
+		// announcement sees parked==1 and wakes, a publish or close before
+		// it is caught by the re-check. Both cannot miss.
 		m.parked.Store(1)
-		if m.ring.CanGet() || m.drained() {
+		if m.size.Load() > 0 || m.closed.Load() {
 			if !m.parked.CompareAndSwap(1, 0) {
 				<-m.wake // a producer won the flag: consume its wake
 			}
@@ -412,19 +186,14 @@ func (m *Mailbox[T]) WaitNonempty() bool {
 	}
 }
 
-// drained reports closed-and-quiet: the stop flag is set and no
-// producer is mid-publish. Checking inflight after closed is what
-// makes the final TryGet in Get decisive (see Put).
-func (m *Mailbox[T]) drained() bool {
-	return m.closed.Load() && m.inflight.Load() == 0
-}
-
-// Close sets the stop flag and wakes the consumer. Producers fail fast
-// from here on; values already published remain for the consumer to
-// drain. Idempotent.
+// Close sets the stop flag and wakes the consumer. Producers fail from
+// here on, including one backing off against a full mailbox; published
+// values remain for the consumer to drain. Idempotent.
 func (m *Mailbox[T]) Close() {
+	m.mu.Lock()
 	m.closed.Store(true)
-	m.wakeConsumer()
+	m.mu.Unlock()
+	m.Kick()
 }
 
 // Closed reports whether Close has been called.

@@ -20,92 +20,96 @@ func atGOMAXPROCS(t *testing.T, n int, f func(t *testing.T)) {
 	})
 }
 
+// put is the waking publish the tests drive the consumer with: the
+// server's losing-submitter sequence, a quiet publish then a kick.
+func put[T any](m *Mailbox[T], v T) bool {
+	if !m.PutQuiet(v) {
+		return false
+	}
+	m.Kick()
+	return true
+}
+
+// get is the dedicated consumer's loop body: wait, then take. ok=false
+// means closed and drained. Single consumer, so a true WaitNonempty is
+// always followed by a successful TryGet.
+func get[T any](m *Mailbox[T]) (T, bool) {
+	if !m.WaitNonempty() {
+		var zero T
+		return zero, false
+	}
+	return m.TryGet()
+}
+
+// putBacksOff reports whether PutQuiet(v) backs off against a full
+// mailbox: it runs the put on a goroutine and gives it a moment to
+// return. The put's outcome arrives on res either way; a backed-off put
+// stays blocked until the caller takes a value or closes the mailbox.
+func putBacksOff[T any](m *Mailbox[T], v T) (blocked bool, res <-chan bool) {
+	ch := make(chan bool, 1)
+	go func() { ch <- m.PutQuiet(v) }()
+	select {
+	case ok := <-ch:
+		ch <- ok
+		return false, ch
+	case <-time.After(50 * time.Millisecond):
+		return true, ch
+	}
+}
+
 func TestRingFIFO(t *testing.T) {
-	r := NewRing[int](8)
+	m := New[int](8, 0)
 	for lap := 0; lap < 5; lap++ {
 		for i := 0; i < 8; i++ {
-			if !r.TryPut(lap*8 + i) {
-				t.Fatalf("lap %d: TryPut(%d) refused below capacity", lap, i)
+			if !m.PutQuiet(lap*8 + i) {
+				t.Fatalf("lap %d: PutQuiet(%d) refused on an open mailbox", lap, i)
 			}
 		}
 		for i := 0; i < 8; i++ {
-			v, ok := r.TryGet()
+			v, ok := m.TryGet()
 			if !ok || v != lap*8+i {
 				t.Fatalf("lap %d: TryGet = %d,%v, want %d,true", lap, v, ok, lap*8+i)
 			}
 		}
-		if _, ok := r.TryGet(); ok {
-			t.Fatal("TryGet succeeded on an empty ring")
+		if _, ok := m.TryGet(); ok {
+			t.Fatal("TryGet succeeded on an empty mailbox")
 		}
 	}
 }
 
-// TestRingExactCapacity fills the ring to exactly its capacity, proves
-// the next put refuses, and drains everything back in order.
+// TestRingExactCapacity fills the mailbox to exactly its capacity —
+// across a swap, so the bound covers the consumer's private run as well
+// as the producers' slice — proves the next put backs off until a take
+// makes room, and drains everything back in order.
 func TestRingExactCapacity(t *testing.T) {
 	const capacity = 64
-	r := NewRing[int](capacity)
-	if r.Cap() != capacity {
-		t.Fatalf("Cap = %d, want %d", r.Cap(), capacity)
+	m := New[int](capacity, 0)
+	for i := 0; i < capacity/2; i++ {
+		m.PutQuiet(i)
 	}
-	for i := 0; i < capacity; i++ {
-		if !r.TryPut(i) {
-			t.Fatalf("TryPut(%d) refused with %d slots free", i, capacity-i)
+	if v, ok := m.TryGet(); !ok || v != 0 { // swaps: the rest now sits in out
+		t.Fatalf("TryGet = %d,%v, want 0,true", v, ok)
+	}
+	for i := capacity / 2; i <= capacity; i++ {
+		if blocked, _ := putBacksOff(m, i); blocked {
+			t.Fatalf("PutQuiet(%d) backed off with %d slots free", i, capacity+1-i)
 		}
 	}
-	if r.TryPut(99) {
-		t.Fatal("TryPut succeeded past capacity")
+	blocked, res := putBacksOff(m, capacity+1)
+	if !blocked {
+		t.Fatal("PutQuiet succeeded past capacity")
 	}
-	for i := 0; i < capacity; i++ {
-		v, ok := r.TryGet()
+	for i := 1; i <= capacity+1; i++ {
+		if i == capacity+1 && !<-res { // the first take made room for it
+			t.Fatal("the backed-off PutQuiet failed on an open mailbox")
+		}
+		v, ok := m.TryGet()
 		if !ok || v != i {
 			t.Fatalf("TryGet = %d,%v, want %d,true", v, ok, i)
 		}
 	}
-	if !r.Empty() {
-		t.Fatal("ring not empty after full drain")
-	}
-}
-
-// TestRingStampWraparound drives the ring across the 2^32 stamp
-// boundary and across the 2^64 wrap: the signed-difference comparisons
-// must keep free/full/claimed decisions correct on both sides. A ring
-// that truncated stamps to 32 bits, or compared them unsigned, wedges
-// or reorders here.
-func TestRingStampWraparound(t *testing.T) {
-	for _, start := range []uint64{
-		1<<32 - 3,      // crosses 2^32
-		^uint64(0) - 3, // crosses 2^64 (full modular wrap)
-	} {
-		r := NewRing[uint64](8)
-		r.jump(start)
-		// Push 64 values through the boundary, interleaving fills and
-		// drains so head and tail both cross it at different offsets.
-		next, expect := uint64(0), uint64(0)
-		for round := 0; round < 16; round++ {
-			for i := 0; i < 4; i++ {
-				if !r.TryPut(next) {
-					t.Fatalf("start %#x: TryPut(%d) refused", start, next)
-				}
-				next++
-			}
-			for i := 0; i < 4; i++ {
-				v, ok := r.TryGet()
-				if !ok || v != expect {
-					t.Fatalf("start %#x: TryGet = %d,%v, want %d,true", start, v, ok, expect)
-				}
-				expect++
-			}
-		}
-		// Exactly-capacity fill still holds on the far side of the wrap.
-		for i := 0; i < 8; i++ {
-			if !r.TryPut(uint64(i)) {
-				t.Fatalf("start %#x: post-wrap fill refused at %d", start, i)
-			}
-		}
-		if r.TryPut(999) {
-			t.Fatalf("start %#x: post-wrap TryPut succeeded past capacity", start)
-		}
+	if _, ok := m.TryGet(); ok {
+		t.Fatal("mailbox not empty after full drain")
 	}
 }
 
@@ -118,7 +122,7 @@ func TestRingConcurrentProducersWedgedConsumer(t *testing.T) {
 	run := func(t *testing.T) {
 		const producers = 8
 		const perProducer = 16 // 8×16 = 128 = capacity: an exact concurrent fill
-		r := NewRing[int](producers * perProducer)
+		m := New[int](producers*perProducer, 0)
 
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
@@ -126,16 +130,15 @@ func TestRingConcurrentProducersWedgedConsumer(t *testing.T) {
 			go func(p int) {
 				defer wg.Done()
 				for i := 0; i < perProducer; i++ {
-					for !r.TryPut(p*1000 + i) {
-						runtime.Gosched() // capacity guarantees eventual success
-					}
+					m.PutQuiet(p*1000 + i) // capacity guarantees it never backs off for long
 				}
 			}(p)
 		}
 		wg.Wait() // the consumer is wedged: nothing drained while producing
 
-		if r.TryPut(9999) {
-			t.Fatal("TryPut succeeded on a ring filled to exactly capacity")
+		blocked, res := putBacksOff(m, 9999)
+		if !blocked {
+			t.Fatal("PutQuiet succeeded on a mailbox filled to exactly capacity")
 		}
 
 		lastSeen := [producers]int{}
@@ -144,9 +147,9 @@ func TestRingConcurrentProducersWedgedConsumer(t *testing.T) {
 		}
 		seen := make(map[int]bool, producers*perProducer)
 		for n := 0; n < producers*perProducer; n++ {
-			v, ok := r.TryGet()
+			v, ok := m.TryGet()
 			if !ok {
-				t.Fatalf("ring empty after %d of %d values", n, producers*perProducer)
+				t.Fatalf("mailbox empty after %d of %d values", n, producers*perProducer)
 			}
 			if seen[v] {
 				t.Fatalf("duplicate value %d", v)
@@ -158,7 +161,11 @@ func TestRingConcurrentProducersWedgedConsumer(t *testing.T) {
 			}
 			lastSeen[p] = i
 		}
-		if _, ok := r.TryGet(); ok {
+		<-res // the take made room: the backed-off put lands last
+		if v, ok := get(m); !ok || v != 9999 {
+			t.Fatalf("get = %d,%v, want the backed-off 9999", v, ok)
+		}
+		if _, ok := m.TryGet(); ok {
 			t.Fatal("extra value after full drain")
 		}
 	}
@@ -180,7 +187,7 @@ func TestMailboxParkWakeRace(t *testing.T) {
 		go func() {
 			sum := 0
 			for {
-				v, ok := m.Get()
+				v, ok := get(m)
 				if !ok {
 					done <- sum
 					return
@@ -191,8 +198,8 @@ func TestMailboxParkWakeRace(t *testing.T) {
 
 		want := 0
 		for i := 1; i <= values; i++ {
-			if !m.Put(i) {
-				t.Errorf("Put(%d) failed before Close", i)
+			if !put(m, i) {
+				t.Errorf("put(%d) failed before Close", i)
 				break
 			}
 			want += i
@@ -213,7 +220,7 @@ func TestMailboxParkWakeRace(t *testing.T) {
 }
 
 // TestMailboxConcurrentProducersParkingConsumer combines both races:
-// 8 producers with a small ring (constant full/empty transitions) and
+// 8 producers with a tiny mailbox (constant full/empty transitions) and
 // a consumer with a tiny spin budget (constant park/wake churn).
 func TestMailboxConcurrentProducersParkingConsumer(t *testing.T) {
 	run := func(t *testing.T) {
@@ -224,7 +231,7 @@ func TestMailboxConcurrentProducersParkingConsumer(t *testing.T) {
 		go func() {
 			counts := make(map[int]int)
 			for {
-				v, ok := m.Get()
+				v, ok := get(m)
 				if !ok {
 					done <- counts
 					return
@@ -239,8 +246,8 @@ func TestMailboxConcurrentProducersParkingConsumer(t *testing.T) {
 			go func(p int) {
 				defer wg.Done()
 				for i := 0; i < perProducer; i++ {
-					if !m.Put(p*perProducer + i) {
-						t.Errorf("producer %d: Put failed before Close", p)
+					if !put(m, p*perProducer+i) {
+						t.Errorf("producer %d: put failed before Close", p)
 						return
 					}
 				}
@@ -268,29 +275,26 @@ func TestMailboxConcurrentProducersParkingConsumer(t *testing.T) {
 }
 
 // TestMailboxCloseRejectsAndDrains: values published before Close are
-// all delivered; Puts after Close fail; Get then reports done.
+// all delivered; puts after Close fail; the consumer then reports done.
 func TestMailboxCloseRejectsAndDrains(t *testing.T) {
 	m := New[int](16, 4)
 	for i := 0; i < 5; i++ {
-		if !m.Put(i) {
-			t.Fatalf("Put(%d) failed on an open mailbox", i)
+		if !put(m, i) {
+			t.Fatalf("put(%d) failed on an open mailbox", i)
 		}
 	}
 	m.Close()
-	if m.Put(99) {
-		t.Fatal("Put succeeded after Close")
-	}
-	if m.TryPut(99) {
-		t.Fatal("TryPut succeeded after Close")
+	if m.PutQuiet(99) {
+		t.Fatal("PutQuiet succeeded after Close")
 	}
 	for i := 0; i < 5; i++ {
-		v, ok := m.Get()
+		v, ok := get(m)
 		if !ok || v != i {
-			t.Fatalf("Get = %d,%v, want %d,true (published values must survive Close)", v, ok, i)
+			t.Fatalf("get = %d,%v, want %d,true (published values must survive Close)", v, ok, i)
 		}
 	}
-	if _, ok := m.Get(); ok {
-		t.Fatal("Get returned a value after the drain")
+	if _, ok := get(m); ok {
+		t.Fatal("get returned a value after the drain")
 	}
 	if !m.Closed() {
 		t.Fatal("Closed() = false after Close")
@@ -298,40 +302,37 @@ func TestMailboxCloseRejectsAndDrains(t *testing.T) {
 }
 
 // TestMailboxCloseUnblocksFullProducer: a producer backing off against
-// a full ring (wedged consumer) must give up promptly when the mailbox
-// closes, never publishing its value.
+// a full mailbox (wedged consumer) must give up promptly when the
+// mailbox closes, never publishing its value.
 func TestMailboxCloseUnblocksFullProducer(t *testing.T) {
 	m := New[int](2, 4)
-	m.Put(1)
-	m.Put(2) // full; no consumer
+	put(m, 1)
+	put(m, 2) // full; no consumer
 
-	res := make(chan bool, 1)
-	go func() { res <- m.Put(3) }()
-	select {
-	case <-res:
-		t.Fatal("Put returned while the ring was full and open")
-	case <-time.After(50 * time.Millisecond):
+	blocked, res := putBacksOff(m, 3)
+	if !blocked {
+		t.Fatal("PutQuiet returned while the mailbox was full and open")
 	}
 
 	m.Close()
 	select {
 	case ok := <-res:
 		if ok {
-			t.Fatal("Put reported success after Close on a full ring")
+			t.Fatal("PutQuiet reported success after Close on a full mailbox")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Put still blocked after Close")
+		t.Fatal("PutQuiet still blocked after Close")
 	}
 
 	// The two published values are still there.
 	for want := 1; want <= 2; want++ {
-		v, ok := m.Get()
+		v, ok := get(m)
 		if !ok || v != want {
-			t.Fatalf("Get = %d,%v, want %d,true", v, ok, want)
+			t.Fatalf("get = %d,%v, want %d,true", v, ok, want)
 		}
 	}
-	if _, ok := m.Get(); ok {
-		t.Fatal("the aborted Put's value leaked into the ring")
+	if _, ok := get(m); ok {
+		t.Fatal("the aborted put's value leaked into the mailbox")
 	}
 }
 
@@ -340,20 +341,20 @@ func TestMailboxCloseUnblocksFullProducer(t *testing.T) {
 // stat) or parks (park stat).
 func TestMailboxSpinParkCounters(t *testing.T) {
 	m := New[int](8, DefaultSpinBudget)
-	m.Put(1)
-	if v, ok := m.Get(); !ok || v != 1 {
-		t.Fatalf("Get = %d,%v, want 1,true", v, ok)
+	put(m, 1)
+	if v, ok := get(m); !ok || v != 1 {
+		t.Fatalf("get = %d,%v, want 1,true", v, ok)
 	}
 	if s, p := m.Spins(), m.Parks(); s != 0 || p != 0 {
-		t.Fatalf("immediate Get counted spins=%d parks=%d, want 0,0", s, p)
+		t.Fatalf("immediate get counted spins=%d parks=%d, want 0,0", s, p)
 	}
 
 	go func() {
 		time.Sleep(100 * time.Millisecond) // long past any spin budget
-		m.Put(2)
+		put(m, 2)
 	}()
-	if v, ok := m.Get(); !ok || v != 2 {
-		t.Fatalf("Get = %d,%v, want 2,true", v, ok)
+	if v, ok := get(m); !ok || v != 2 {
+		t.Fatalf("get = %d,%v, want 2,true", v, ok)
 	}
 	if m.Parks() < 1 {
 		t.Fatalf("delayed producer: parks=%d, want >= 1", m.Parks())

@@ -8,11 +8,13 @@
 // serve as a bounded thread set, which is exactly what the combining tree
 // and the metrics counters need: shard i always calls with ThreadID i.
 // Commands travel in batches — contiguous per-connection runs —
-// published quietly into a lock-free MPSC ring (internal/mailbox) and
 // flat-combined by whoever holds the shard's combiner lock: usually the
-// submitting connection itself, which drains the ring and applies its
-// own batch in place, with a dedicated shard goroutine (spin-then-park)
-// as the fallback when combiners collide. One reply slice per batch.
+// submitting connection itself, which drains the shard's mailbox
+// (internal/mailbox, a bounded mutex-guarded MPSC queue) and applies its
+// own batch in place. Only a submitter that finds the lock taken
+// publishes its batch, quietly, with a dedicated shard goroutine
+// (spin-then-park) as the fallback when combiners collide. One reply
+// slice per batch.
 package server
 
 import (
@@ -126,7 +128,7 @@ func (r *router) distinct() []*shard {
 }
 
 // shard owns a private set instance, a private string-keyed dictionary,
-// and a lock-free MPSC mailbox drained by a single goroutine. Map
+// and an MPSC mailbox drained by whoever holds the combiner lock. Map
 // commands route by the FNV-1a hash of their key (Command.ShardKey),
 // then resolve collisions inside the shard's dictionary by full-string
 // chaining.
@@ -255,9 +257,6 @@ type engine struct {
 	now    func() time.Time
 	epoch  time.Time
 	coarse atomic.Int64
-	// spinBudget is the resolved per-shard mailbox spin budget, kept for
-	// STATS.
-	spinBudget int
 
 	// Wait-free read bypass state. bypassSet/bypassMap record whether
 	// GET/HGET may execute on the calling (connection) goroutine —
@@ -342,13 +341,6 @@ func newEngine(o Options) (*engine, error) {
 		return nil, err
 	}
 
-	spin := o.SpinBudget
-	switch {
-	case spin == 0:
-		spin = mailbox.DefaultSpinBudget
-	case spin < 0:
-		spin = 0
-	}
 	factory := func() counting.Counter { return newMetricsCounter(o) }
 	e := &engine{
 		opts:       o,
@@ -363,7 +355,6 @@ func newEngine(o Options) (*engine, error) {
 		batchSizes: metrics.NewSizeHistogram(factory),
 		now:        o.clock,
 		epoch:      o.clock(),
-		spinBudget: spin,
 	}
 	// HGET bypass: safe whenever the keyspace serves it (tvar reads are
 	// goroutine-agnostic) or the map backend advertises the capability.
@@ -381,7 +372,7 @@ func newEngine(o Options) (*engine, error) {
 		e.combCaller.External("shard.combine.caller"),
 		e.combShard.External("shard.combine.shard"),
 		// The shard goroutines' drain behavior, summed over shards: how
-		// often a Get resolved during the spin phase versus actually
+		// often a wait resolved during the spin phase versus actually
 		// parking. The closures take the shard census at snapshot time,
 		// after the loop below has populated it.
 		metrics.External{Name: "shard.spin", Read: func() int64 {
@@ -481,8 +472,8 @@ func (e *engine) stop() {
 // against a saturated shard give up instead of blocking forever, new
 // submissions fail fast, and each shard goroutine exits once it has
 // drained what was already published. The server fires it when the
-// shutdown drain deadline expires, so pipelined clients parked in
-// submit cannot deadlock the drain; stop fires it unconditionally.
+// shutdown drain deadline expires, so pipelined clients backing off in
+// doBatch cannot deadlock the drain; stop fires it unconditionally.
 // Idempotent (mailbox.Close is). The aborted flag keeps a racing reshard
 // from starting shards whose mailboxes would never close: registration
 // and abort serialize on allMu.
@@ -684,9 +675,13 @@ func (e *engine) nextShard(rt *router) int { return int(e.rr.Add(1)-1) % rt.n() 
 // own batch right here on the connection goroutine — no enqueue, no
 // reply-channel round-trip, no other goroutine involved. Only when
 // another combiner already owns the shard does the caller publish the
-// batch and wait, re-bidding for the lock once (the owner may have
-// finished its final drain just before our publish) and otherwise
-// kicking the dedicated shard goroutine.
+// batch — quietly: it is about to bid for the lock again, so the parked
+// shard goroutine is left alone — and wait, re-bidding once (the owner
+// may have finished its final drain just before our publish) and
+// otherwise kicking the dedicated shard goroutine. Against a full
+// mailbox the publish backs off, yielding to a combiner, but gives up
+// once abort closes the mailbox: a draining server must not leave
+// connection goroutines waiting on a saturated shard forever.
 //
 // A concurrent RESHARD can strand the batch: its keys were routed under
 // rt, but by execution time the current router may map them elsewhere.
@@ -716,7 +711,7 @@ func (e *engine) doBatch(rt *router, si int, b *batch) ([]reply, bool) {
 		e.combCaller.Inc()
 		return rs, true
 	}
-	if !e.submit(s, b) {
+	if !s.mbox.PutQuiet(b) {
 		return nil, false
 	}
 	if s.comb.TryLock() {
@@ -752,17 +747,6 @@ func (e *engine) redispatch(b *batch) []reply {
 		b.replies = append(b.replies, e.do(cmd))
 	}
 	return b.replies
-}
-
-// submit enqueues b on its shard mailbox, quietly: the caller is about
-// to bid for the combiner lock itself, so the parked shard goroutine is
-// left alone. The fast path is one CAS plus one store; when the ring is
-// full, the put backs off (yielding the processor to a combiner) but
-// abandons the wait once abort closes the mailbox — the unbounded-wait
-// footgun fix: a draining server must not leave connection goroutines
-// parked on a saturated shard forever.
-func (e *engine) submit(s *shard, b *batch) bool {
-	return s.mbox.PutQuiet(b)
 }
 
 // refreshCoarse publishes a fresh coarse-clock reading and returns it:
@@ -811,7 +795,7 @@ func (e *engine) serve(s *shard) {
 // answered as soon as its own commands are done, so early submitters
 // are not held hostage to the rest of the run.
 //
-// Callers must hold s.comb: the combiner lock serializes ring
+// Callers must hold s.comb: the combiner lock serializes mailbox
 // consumption (TryGet is single-consumer) and makes s.id a valid dense
 // ThreadID for the width-bounded counters while combining.
 //
@@ -1141,7 +1125,7 @@ func (e *engine) statsBody() string {
 	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", e.bypassState(e.bypassSet, e.bypassDynSet),
 		e.bypassState(e.bypassMap, e.bypassDynMap))
 	sb.WriteString(e.morphLines())
-	fmt.Fprintf(&sb, "mailbox depth=%d spin-budget=%d\n", shardQueueDepth, e.spinBudget)
+	fmt.Fprintf(&sb, "mailbox depth=%d spin-budget=%d\n", shardQueueDepth, e.router.Load().shard(0).mbox.SpinBudget())
 	sb.WriteString(e.batchSizes.Format("shard.batch"))
 	sb.WriteString(e.metrics.Format())
 	sb.WriteString(e.ext.Format())

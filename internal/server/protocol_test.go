@@ -274,7 +274,7 @@ func FuzzPipeline(f *testing.F) {
 		"MULTI\nHSET k 9\nHGET k\nEXEC\nHGET k\nGET 5\nMULTI\nSET 5\nEXEC\nGET 5\n", // reads inside and after MULTI
 		"GET 1\nGET 1\nGET 1\nHGET h\nHSET h 2\nHGET h\nMULTI\nHDEL h\nEXEC\nHGET h\nQUIT\n",
 		// Mailbox pressure: deep pipelines of same-shard keyed runs (one
-		// key → one shard → maximal contiguous batches through one ring),
+		// key → one shard → maximal contiguous batches through one mailbox),
 		// with QUIT cutting the burst so accepted-but-unanswered lines
 		// race the teardown drain.
 		strings.Repeat("SET 7\n", 192) + "QUIT\n" + strings.Repeat("SET 7\n", 8), // deep run past maxBatch, QUIT mid-burst

@@ -506,14 +506,15 @@ func TestPipelinedBulk(t *testing.T) {
 // deadlocking a draining server.
 func TestPipelinedSubmitAbortUnblocks(t *testing.T) {
 	e := &engine{}
-	s := &shard{mbox: mailbox.New[*batch](2, 0)}
+	const depth = 2
+	s := &shard{mbox: mailbox.New[*batch](depth, 0)}
 	e.all = []*shard{s}
-	for s.mbox.TryPut(&batch{}) {
-		// saturate the ring; nothing drains it
+	for i := 0; i < depth; i++ {
+		s.mbox.PutQuiet(&batch{}) // saturate the mailbox; nothing drains it
 	}
 
 	res := make(chan bool, 1)
-	go func() { res <- e.submit(s, &batch{}) }()
+	go func() { res <- s.mbox.PutQuiet(&batch{}) }()
 	select {
 	case <-res:
 		t.Fatal("submit returned while the shard queue was full")
@@ -800,10 +801,10 @@ func TestGracefulShutdown(t *testing.T) {
 }
 
 // TestShutdownForcePathSaturatedRing wedges the sole shard's combiner
-// mid-command so that subsequent submitters fill the ring to capacity
+// mid-command so that subsequent submitters fill the mailbox to capacity
 // and overflow into the producer backoff, then drives Shutdown's force
 // path (an already-short drain deadline). The force path must abort the
-// mailbox — unblocking every producer parked on the full ring — and once
+// mailbox — unblocking every producer backing off against it — and once
 // the wedge releases, every batch already accepted must still be drained
 // and answered: no conn goroutine may be left waiting on a reply, which
 // the goroutine-leak check below would catch, and the shard goroutines
@@ -844,9 +845,9 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 	if _, err := wedgeConn.Write([]byte("SET 424242\n")); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	<-entered // combiner lock held, nothing will drain the ring
+	<-entered // combiner lock held, nothing will drain the mailbox
 
-	// Saturate: more single-batch connections than the ring holds, so the
+	// Saturate: more single-batch connections than the mailbox holds, so the
 	// overflow parks inside the producer backoff. Every client must
 	// eventually unblock — with a reply or a dead socket, never a hang.
 	const clients = shardQueueDepth + 24
@@ -865,7 +866,7 @@ func TestShutdownForcePathSaturatedRing(t *testing.T) {
 			bufio.NewReader(conn).ReadString('\n')
 		}(i)
 	}
-	time.Sleep(300 * time.Millisecond) // let the ring fill and producers park
+	time.Sleep(300 * time.Millisecond) // let the mailbox fill and producers back off
 
 	// Force path: the deadline is far shorter than the wedge, so the
 	// drain expires, abort closes the mailboxes, and the parked producers

@@ -211,6 +211,12 @@ func (v *OFTVar[T]) Get(tx *OFTx) T {
 				tx.manager.Resolve(tx, loc.owner)
 				continue
 			}
+			// A re-read must return the version the first read recorded.
+			// Overwriting the record instead would let a rival's commit
+			// between the two reads pass validation: a non-repeatable read.
+			if prev, seen := tx.reads[v]; seen && prev != any(version) {
+				panic(abortSignal{})
+			}
 			tx.reads[v] = version
 		}
 		if !tx.validateReads() {
@@ -226,7 +232,12 @@ func (v *OFTVar[T]) Set(tx *OFTx, value T) {
 		tx.checkActive()
 		loc := v.start.Load()
 		if loc.owner == tx {
-			loc.newV = &value // we already own it; just update the version
+			// We already own it; just update the version. Mutating a
+			// published locator is safe: rivals read newV only after they
+			// see our status committed, which our commit CAS publishes
+			// after fn — and so every Set — has returned; while we are
+			// active or aborted they read oldV, which never changes.
+			loc.newV = &value
 			return
 		}
 		fresh := &ofLocator[T]{owner: tx}

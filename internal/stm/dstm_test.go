@@ -245,3 +245,48 @@ func TestOFLoadSpinsOutWriters(t *testing.T) {
 		t.Fatalf("final Load = %d, want 503", got)
 	}
 }
+
+// TestRereadAfterRivalCommit interleaves two transactions by hand, no
+// timing: the first attempt reads x, a rival commits a new x, and the
+// attempt reads x again. Neither engine may hand an attempt two
+// different values of one variable; the attempt must abort and the retry
+// see the rival's value twice. DSTM detects it by checking a re-read
+// against the version the first read recorded, TL2 by its readVersion
+// bound.
+func TestRereadAfterRivalCommit(t *testing.T) {
+	cases := map[string]func() (pairs [][2]int, aborts int64){
+		"dstm": func() (pairs [][2]int, aborts int64) {
+			s, x := NewOF(), NewOFTVar(0)
+			s.Atomic(func(tx *OFTx) {
+				first := x.Get(tx)
+				if first == 0 { // first attempt only: the retry sees 1
+					s.Atomic(func(rival *OFTx) { x.Set(rival, 1) })
+				}
+				pairs = append(pairs, [2]int{first, x.Get(tx)})
+			})
+			return pairs, s.Aborts()
+		},
+		"tl2": func() (pairs [][2]int, aborts int64) {
+			s, x := New(), NewTVar(0)
+			s.Atomic(func(tx *Tx) {
+				first := x.Get(tx)
+				if first == 0 {
+					s.Atomic(func(rival *Tx) { x.Set(rival, 1) })
+				}
+				pairs = append(pairs, [2]int{first, x.Get(tx)})
+			})
+			return pairs, s.Aborts()
+		},
+	}
+	for name, run := range cases {
+		t.Run(name, func(t *testing.T) {
+			pairs, aborts := run()
+			if len(pairs) != 1 || pairs[0] != [2]int{1, 1} {
+				t.Errorf("attempts that read x twice saw %v, want only [1 1]", pairs)
+			}
+			if aborts != 1 {
+				t.Errorf("aborts = %d, want 1 (the attempt the rival overtook)", aborts)
+			}
+		})
+	}
+}
