@@ -3,7 +3,7 @@
 GO ?= go
 ADDR ?= 127.0.0.1:7171
 
-.PHONY: build test race vet bench bench-ci serve load
+.PHONY: build test race vet loc bench bench-ci serve load
 
 build:
 	$(GO) build ./...
@@ -16,6 +16,14 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test, non-blank Go lines per package and in total: what ROADMAP's
+# line targets are read off. CI appends it to the lint job's summary.
+loc:
+	@$(GO) list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... | \
+	while read -r pkg files; do \
+		[ -n "$$files" ] && printf '%6d %s\n' "$$(cat $$files | grep -c '[^[:space:]]')" "$$pkg"; \
+	done | awk '{ print; n += $$1 } END { printf "%6d total\n", n }'
 
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...

@@ -33,9 +33,8 @@ type phaseSpec struct {
 
 // phaseSchedule swings both axes: mix (write-heavy ↔ read-heavy) and
 // working set (hot ↔ cold). Each transition is a regime the adaptive
-// controller should answer with a morph — to the read-optimized member
-// at the write→read edges, back down the write ladder at the read→write
-// edges.
+// controller should answer with a morph — to the read member at the
+// write→read edges, back to coarse at the read→write edges.
 var phaseSchedule = []phaseSpec{
 	{name: "write-hot", readPct: 10, hot: true},
 	{name: "read-hot", readPct: 95, hot: true},

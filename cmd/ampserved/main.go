@@ -11,8 +11,8 @@
 //	ampserved -set lockfree -map refinable -queue recycling -counter network
 //	ampserved -txn dstm -cm backoff        # MULTI/EXEC over the DSTM engine
 //	ampserved -set skip-epoch -map epoch -txn off   # every read on the wait-free bypass
-//	ampserved -set adaptive -map adaptive -txn off  # self-tuning backends that morph live
-//	ampserved -morph off                   # freeze adaptive backends on their boot member
+//	ampserved -set adaptive -map adaptive -txn off  # coarse, switching to lockfree/epoch while reads dominate
+//	ampserved -morph off                   # freeze adaptive backends on coarse
 //	ampserved -read-bypass off             # force all reads through the shard mailboxes
 //	ampserved -spin 256                    # longer mailbox spin before shard goroutines park
 //	ampserved -http 127.0.0.1:7172         # expvar stats endpoint
@@ -87,8 +87,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 			"live morphing on adaptive backends: on|off (default on)")
 		morphEvery = fs.Int("morph-every", 0,
 			"batch drains between adaptive controller evaluations per shard (default 32)")
-		morphRead = fs.Int("morph-read", 0,
-			"window read percentage that morphs an adaptive shard to its read-optimized member (default 90)")
 		spin = fs.Int("spin", 0,
 			"shard mailbox spin budget: empty polls before a shard goroutine parks (0 = default, negative = park immediately)")
 
@@ -116,7 +114,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		ReadBypass:     *readBypass,
 		Morph:          *morph,
 		MorphEvery:     *morphEvery,
-		MorphReadPct:   *morphRead,
 		SpinBudget:     *spin,
 		SetCapacity:    *setCap,
 		QueueCapacity:  *queueCap,

@@ -20,11 +20,11 @@
 //	hashset    striped/refinable/split-ordered/cuckoo hash sets (Ch. 13)
 //	strmap     the Ch. 13 lock disciplines as string→int64 maps: coarse,
 //	           striped, refinable, chained phased cuckoo (FNV-1a hashing)
-//	adaptive   contention-adaptive "adjusted" set/map wrappers that morph
-//	           the live member along the Ch. 13 ladder (coarse → striped →
-//	           refinable → lock-free, plus an epoch read member) from
-//	           observed contention and read mix, flipping at shard batch
-//	           boundaries with one atomic pointer store
+//	adaptive   self-tuning "adjusted" set/map wrappers that switch the
+//	           live member between coarse and the family's read member
+//	           (lock-free set, epoch map) on the observed read mix,
+//	           flipping at shard batch boundaries with one atomic
+//	           pointer store
 //	skiplist   lazy and lock-free skiplists (Ch. 14)
 //	pqueue     bounded pools, fine-grained heap, skip-queue (Ch. 15)
 //	steal      work-stealing deques and executors (Ch. 16)

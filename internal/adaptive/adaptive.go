@@ -1,28 +1,29 @@
-// Package adaptive implements contention-adaptive "adjusted" backends:
-// meta-containers that wrap the per-family implementation ladders
-// (internal/strmap, internal/hashset) behind the unchanged Map / Set
-// interfaces and morph the live implementation to fit the observed
-// workload — Kane's Adjusted Objects idea driven by the cheap signals
-// Alistarh et al. argue actually predict behavior: real lock-wait /
-// CAS-failure counts and the read/write mix, not worst-case assumptions.
+// Package adaptive implements self-tuning "adjusted" backends:
+// meta-containers that sit behind the unchanged Map / Set interfaces
+// (internal/strmap, internal/hashset) and switch the live
+// implementation between two members to fit the observed read/write
+// mix — Kane's Adjusted Objects idea, narrowed to the one signal that
+// is not structurally zero here.
 //
 // The containers are built for ampserved's shard discipline: all writes
 // to one container are serialized by its owning shard (the combiner
 // lock), while reads may additionally arrive from any goroutine through
-// the wait-free bypass (TryGet / TryContains). The owner calls Tick at
-// batch boundaries; every cfg.Every ticks the controller closes a
-// sampling window and consults the policy:
+// the wait-free bypass (TryGet / TryContains). One owner at a time means
+// writers never contend inside a member, so there is no lock-wait or
+// CAS-failure signal to climb a Ch. 13 ladder on (EXPERIMENTS.md E20
+// addendum: 0 contended operations in 272k sampled windows), and each
+// family keeps exactly two members:
 //
-//   - window read fraction ≥ ReadHi  → morph to the read-optimized
-//     member (map: the RCU-style epoch table; set: the lock-free
-//     split-ordered set), whose reads are safe from any goroutine, so
-//     the server can turn the wait-free read bypass on.
-//   - on an off-ladder read member with read fraction < ReadLo → morph
-//     back to the saved write-ladder rung.
-//   - otherwise, contended ops per hundred ≥ HiPct climbs the write
-//     ladder one rung (coarse → striped → refinable → ...), and ≤ LoPct
-//     descends one rung — under low contention the simplest structure
-//     is the fastest, so an idle container drifts back to coarse.
+//   - the write member, coarse: one uncontended lock, the cheapest
+//     structure a single writer can drive. Containers boot on it.
+//   - the read member (map: the RCU-style epoch table; set: the
+//     lock-free split-ordered set), whose reads are safe from any
+//     goroutine, so the server can turn the wait-free read bypass on.
+//
+// The owner calls Tick at batch boundaries; every cfg.Every ticks the
+// controller closes a sampling window and applies one hysteresis: a
+// window read fraction ≥ ReadHi moves the container to its read member,
+// a fraction < ReadLo moves it back, and anything between stays put.
 //
 // A morph runs entirely on the owner goroutine at a batch boundary: the
 // old implementation is quiesced by construction (zero concurrent
@@ -35,11 +36,13 @@
 // state. No stop-the-world, no interface change.
 package adaptive
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
+import "sync/atomic"
+
+// The read-fraction hysteresis band: a closed window at or above ReadHi
+// moves a container to its read member, one below ReadLo moves it back.
+const (
+	ReadHi = 0.90
+	ReadLo = 0.50
 )
 
 // Config tunes one controller. The zero value selects the defaults.
@@ -51,17 +54,6 @@ type Config struct {
 	// before the policy may act; smaller windows carry too much noise.
 	// Default 256.
 	MinOps int64
-	// ReadHi is the window read fraction at which the container morphs
-	// to its read-optimized member. Default 0.90.
-	ReadHi float64
-	// ReadLo is the read fraction below which an off-ladder read member
-	// morphs back to the saved write-ladder rung. Default 0.50.
-	ReadLo float64
-	// HiPct / LoPct bound the contention band, in contended operations
-	// per hundred: at or above HiPct the controller climbs the write
-	// ladder, at or below LoPct it descends. Defaults 5 and 1.
-	HiPct int64
-	LoPct int64
 }
 
 func (c Config) withDefaults() Config {
@@ -71,26 +63,7 @@ func (c Config) withDefaults() Config {
 	if c.MinOps <= 0 {
 		c.MinOps = 256
 	}
-	if c.ReadHi <= 0 {
-		c.ReadHi = 0.90
-	}
-	if c.ReadLo <= 0 {
-		c.ReadLo = 0.50
-	}
-	if c.HiPct <= 0 {
-		c.HiPct = 5
-	}
-	if c.LoPct <= 0 {
-		c.LoPct = 1
-	}
 	return c
-}
-
-// contender is the contention-signal capability every ladder member
-// implements (lock-wait counts on the locked backends, CAS-failure
-// counts on the lock-free ones).
-type contender interface {
-	Contention() int64
 }
 
 // Transition is one observed morph edge, for STATS.
@@ -99,113 +72,155 @@ type Transition struct {
 	N        int64
 }
 
-// controller is the per-container policy state. All fields except flips
-// and the transition log are owned by the container's single writer
-// (ampserved: the shard's combining goroutine); flips and transitions
-// are also read by STATS snapshots from other goroutines.
-type controller struct {
-	cfg       Config
-	ladderLen int // write-ladder members are indexes [0, ladderLen)
-	readIdx   int // read-optimized member; == ladderLen when off-ladder
-	pos       int // current member index
-	rung      int // ladder rung to return to when leaving an off-ladder read member
+// The two members of a family, as indexes into core.specs and core.flips.
+const (
+	writeMember = iota
+	readMember
+)
 
-	drains int // owner ticks since the last evaluation
-
-	flips atomic.Int64
-	mu    sync.Mutex // guards trans
-	trans map[[2]string]int64
+// spec is one selectable member: a name and a constructor.
+type spec[I any] struct {
+	name string
+	make func(capacity int) I
 }
 
-// decide maps one closed window (reads, writes, contended ops) to a
-// target member index, or ok=false to stay put. Pure: no state changes.
-func (c *controller) decide(reads, writes, cont int64) (int, bool) {
+// member is one live implementation. Immutable once published.
+type member[I any] struct {
+	idx  int // writeMember or readMember
+	impl I
+}
+
+// core is the family-independent half of an adaptive container: the
+// current-member pointer, the window counters, the controller and the
+// migration. Map and Set embed it and add only their typed operations.
+// Everything except cur, the op counters and flips is owned by the
+// container's single writer (ampserved: the shard's combiner).
+type core[I any] struct {
+	cfg      Config
+	capacity int
+	specs    [2]spec[I]
+	migrate  func(from, to I) // copy every entry of a quiesced from into to
+	cur      atomic.Pointer[member[I]]
+
+	// Window op counters. Atomics because bypass reads run on arbitrary
+	// goroutines; the owner-only writes don't need the atomicity but
+	// share the representation.
+	reads  atomic.Int64
+	writes atomic.Int64
+
+	lastReads  int64 // window baselines
+	lastWrites int64
+	drains     int // owner ticks since the last evaluation
+
+	flips [2]atomic.Int64 // completed morphs, by target member
+}
+
+func (c *core[I]) init(capacity int, cfg Config, specs [2]spec[I], migrate func(from, to I)) {
+	c.cfg = cfg.withDefaults()
+	c.capacity = normCap(capacity)
+	c.specs = specs
+	c.migrate = migrate
+	c.cur.Store(c.build(writeMember))
+}
+
+func (c *core[I]) build(idx int) *member[I] {
+	return &member[I]{idx: idx, impl: c.specs[idx].make(c.capacity)}
+}
+
+// forWrite and forRead count one owner operation into the open window
+// and return the live implementation to apply it to.
+func (c *core[I]) forWrite() I {
+	c.writes.Add(1)
+	return c.cur.Load().impl
+}
+
+func (c *core[I]) forRead() I {
+	c.reads.Add(1)
+	return c.cur.Load().impl
+}
+
+// forBypass is forRead for any goroutine: served=false means the
+// container is on its write member and the caller must route the read
+// through the owner. The read linearizes at the member load: a morph
+// that flips cur concurrently leaves the loaded (old) member intact and
+// unwritten.
+func (c *core[I]) forBypass() (impl I, served bool) {
+	cur := c.cur.Load()
+	if cur.idx != readMember {
+		return impl, false
+	}
+	c.reads.Add(1)
+	return cur.impl, true
+}
+
+// decide is the whole policy: whether a closed window of reads and
+// writes moves a container off the member it is on. Pure.
+func decide(cfg Config, onRead bool, reads, writes int64) bool {
 	total := reads + writes
-	if total < c.cfg.MinOps {
-		return 0, false
+	if total < cfg.MinOps {
+		return false
 	}
 	frac := float64(reads) / float64(total)
-	contPct := 100 * cont / total
-	switch {
-	case frac >= c.cfg.ReadHi:
-		if c.pos != c.readIdx {
-			return c.readIdx, true
-		}
-	case c.pos == c.readIdx && c.readIdx >= c.ladderLen:
-		// Off-ladder read member and the mix is no longer read-dominated.
-		if frac < c.cfg.ReadLo {
-			return c.rung, true
-		}
-	default:
-		if contPct >= c.cfg.HiPct && c.pos+1 < c.ladderLen {
-			return c.pos + 1, true
-		}
-		if contPct <= c.cfg.LoPct && c.pos > 0 {
-			return c.pos - 1, true
-		}
+	if onRead {
+		return frac < ReadLo
 	}
-	return 0, false
+	return frac >= ReadHi
 }
 
-// applyMorph commits a decision: remember the rung when stepping off the
-// ladder, move, count the flip.
-func (c *controller) applyMorph(target int) {
-	if target == c.readIdx && c.readIdx >= c.ladderLen {
-		c.rung = c.pos
+// Tick is the owner's batch-boundary hook: every cfg.Every calls it
+// closes the sampling window, consults the policy, and — when the policy
+// says morph — migrates and flips right here on the owner goroutine.
+// flipped reports a completed morph with its edge.
+func (c *core[I]) Tick() (from, to string, flipped bool) {
+	if c.drains++; c.drains < c.cfg.Every {
+		return "", "", false
 	}
-	c.pos = target
-	c.flips.Add(1)
+	c.drains = 0
+	reads, writes := c.reads.Load(), c.writes.Load()
+	dr, dw := reads-c.lastReads, writes-c.lastWrites
+	if dr+dw >= c.cfg.MinOps {
+		c.lastReads, c.lastWrites = reads, writes
+	}
+	cur := c.cur.Load()
+	if !decide(c.cfg, cur.idx == readMember, dr, dw) {
+		return "", "", false
+	}
+	next := c.build(1 - cur.idx)
+	c.migrate(cur.impl, next.impl)
+	c.cur.Store(next)
+	c.flips[next.idx].Add(1)
+	return c.specs[cur.idx].name, c.specs[next.idx].name, true
 }
 
-func (c *controller) record(from, to string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.trans == nil {
-		c.trans = make(map[[2]string]int64)
-	}
-	c.trans[[2]string{from, to}]++
-}
+// BypassOK reports whether the current member's reads are safe from any
+// goroutine, which is exactly when it is the read member. A true result
+// can go stale across a morph; TryGet / TryContains revalidate.
+func (c *core[I]) BypassOK() bool { return c.cur.Load().idx == readMember }
+
+// Current reports the live member's name. Safe from any goroutine.
+func (c *core[I]) Current() string { return c.specs[c.cur.Load().idx].name }
 
 // Flips reports completed morphs. Safe from any goroutine.
-func (c *controller) Flips() int64 { return c.flips.Load() }
+func (c *core[I]) Flips() int64 { return c.flips[writeMember].Load() + c.flips[readMember].Load() }
 
-// Transitions reports the morph edges taken so far, sorted by (from,
-// to). Safe from any goroutine.
-func (c *controller) Transitions() []Transition {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Transition, 0, len(c.trans))
-	for k, n := range c.trans {
-		out = append(out, Transition{From: k[0], To: k[1], N: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+// Transitions reports the morph edges taken so far, write→read first.
+// Safe from any goroutine.
+func (c *core[I]) Transitions() []Transition {
+	var out []Transition
+	for _, to := range [2]int{readMember, writeMember} {
+		if n := c.flips[to].Load(); n > 0 {
+			out = append(out, Transition{From: c.specs[1-to].name, To: c.specs[to].name, N: n})
 		}
-		return out[i].To < out[j].To
-	})
+	}
 	return out
 }
 
-func contentionOf(v any) int64 {
-	if c, ok := v.(contender); ok {
-		return c.Contention()
-	}
-	return 0
-}
-
 // normCap rounds a requested capacity up to a power of two ≥ 2 (the
-// ladder constructors' requirement).
+// member constructors' requirement).
 func normCap(n int) int {
 	p := 2
 	for p < n {
 		p <<= 1
 	}
 	return p
-}
-
-func checkCapability(ok bool, name, capability string) {
-	if !ok {
-		panic(fmt.Sprintf("adaptive: backend %q does not implement %s", name, capability))
-	}
 }

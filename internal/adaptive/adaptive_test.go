@@ -2,6 +2,7 @@ package adaptive
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -10,48 +11,63 @@ import (
 // tests drive windows explicitly.
 var cfg1 = Config{Every: 1, MinOps: 1}
 
-// TestDecidePolicy pins the pure policy on a map-shaped controller
-// (off-ladder read member at index 4).
+// TestDecidePolicy pins the pure policy: one read-fraction hysteresis,
+// the same for both families. The last five rows keep the names the
+// test floor pinned when the policy also walked a contention ladder;
+// what they hold now is the other half of each edge — the boundaries of
+// the band and the windows that must not move a two-member container.
 func TestDecidePolicy(t *testing.T) {
-	mk := func(pos, rung int) *controller {
-		return &controller{cfg: Config{}.withDefaults(), ladderLen: 4, readIdx: 4, pos: pos, rung: rung}
-	}
 	cases := []struct {
-		name                string
-		c                   *controller
-		reads, writes, cont int64
-		want                int
-		ok                  bool
+		name          string
+		onRead        bool
+		reads, writes int64
+		want          bool
 	}{
-		{"window too small", mk(1, 1), 100, 10, 0, 0, false},
-		{"read-heavy morphs to read member", mk(1, 1), 950, 50, 0, 4, true},
-		{"read member stays in hysteresis band", mk(4, 1), 700, 300, 0, 0, false},
-		{"read member returns on write-heavy", mk(4, 2), 100, 900, 0, 2, true},
-		{"contention climbs", mk(1, 1), 100, 900, 100, 2, true},
-		{"top rung cannot climb", mk(3, 1), 100, 900, 500, 0, false},
-		{"quiet descends", mk(2, 2), 100, 900, 0, 1, true},
-		{"bottom rung cannot descend", mk(0, 0), 100, 900, 0, 0, false},
-		{"mid-band holds", mk(1, 1), 100, 900, 30, 0, false},
+		{"window too small", false, 100, 10, false},
+		{"read-heavy morphs to read member", false, 950, 50, true},
+		{"read member stays in hysteresis band", true, 700, 300, false},
+		{"read member returns on write-heavy", true, 100, 900, true},
+		{"contention climbs", false, 100, 900, false},          // write-heavy on the write member: nowhere to go
+		{"top rung cannot climb", true, 950, 50, false},        // read-heavy on the read member stays
+		{"quiet descends", true, 499, 501, true},               // just under ReadLo leaves
+		{"bottom rung cannot descend", false, 899, 101, false}, // just under ReadHi does not enter
+		{"mid-band holds", false, 700, 300, false},
 	}
+	cfg := Config{}.withDefaults()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ok := tc.c.decide(tc.reads, tc.writes, tc.cont)
-			if ok != tc.ok || (ok && got != tc.want) {
-				t.Fatalf("decide(%d,%d,%d) = %d,%v; want %d,%v",
-					tc.reads, tc.writes, tc.cont, got, ok, tc.want, tc.ok)
+			if got := decide(cfg, tc.onRead, tc.reads, tc.writes); got != tc.want {
+				t.Fatalf("decide(onRead=%v, %d, %d) = %v; want %v",
+					tc.onRead, tc.reads, tc.writes, got, tc.want)
 			}
 		})
 	}
 
-	// The on-ladder read member (set shape): a write-heavy window leaves
-	// it by the ordinary contention descent, not the ReadLo exit.
-	c := &controller{cfg: Config{}.withDefaults(), ladderLen: 4, readIdx: 3, pos: 3, rung: 1}
-	if got, ok := c.decide(100, 900, 0); !ok || got != 2 {
-		t.Fatalf("on-ladder read member: decide = %d,%v; want 2,true", got, ok)
-	}
+	// The band is the same for both families, driven through the real
+	// containers: a 70%-read window neither pulls one onto its read
+	// member nor pushes it off.
+	t.Run("70% reads neither enters nor leaves", func(t *testing.T) {
+		s, m := NewSet(64, cfg1), NewMap(64, cfg1)
+		for _, member := range []string{"write", "read"} {
+			if member == "read" {
+				if _, _, ok := setWindow(s, 400, 10); !ok || !s.BypassOK() {
+					t.Fatalf("set did not reach its read member")
+				}
+				if _, _, ok := mapWindow(m, 400, 10); !ok || !m.BypassOK() {
+					t.Fatalf("map did not reach its read member")
+				}
+			}
+			if from, to, ok := setWindow(s, 700, 300); ok {
+				t.Errorf("set on its %s member: 70%% reads morphed %s→%s", member, from, to)
+			}
+			if from, to, ok := mapWindow(m, 700, 300); ok {
+				t.Errorf("map on its %s member: 70%% reads morphed %s→%s", member, from, to)
+			}
+		}
+	})
 }
 
-// window drives one sampled window of the given shape through m and
+// mapWindow drives one sampled window of the given shape through m and
 // closes it with a Tick.
 func mapWindow(m *Map, reads, writes int) (string, string, bool) {
 	for i := 0; i < writes; i++ {
@@ -63,16 +79,29 @@ func mapWindow(m *Map, reads, writes int) (string, string, bool) {
 	return m.Tick()
 }
 
+// setWindow is mapWindow for the set. Its writes add and remove scratch
+// items ≥ 1000, so an even write count leaves the membership unchanged.
+func setWindow(s *Set, reads, writes int) (string, string, bool) {
+	for i := 0; i < writes; i += 2 {
+		s.Add(1000 + i)
+		s.Remove(1000 + i)
+	}
+	for i := 0; i < reads; i++ {
+		s.Contains(i % 100)
+	}
+	return s.Tick()
+}
+
 // TestMapMorphLifecycle walks the map through read-heavy and write-heavy
 // windows and checks the member sequence, entry survival, and the
 // transition log.
 func TestMapMorphLifecycle(t *testing.T) {
 	m := NewMap(64, cfg1)
-	if got := m.Current(); got != "striped" {
-		t.Fatalf("boot member %q, want striped", got)
+	if got := m.Current(); got != "coarse" {
+		t.Fatalf("boot member %q, want coarse", got)
 	}
 	if m.BypassOK() {
-		t.Fatal("striped member must not advertise bypass")
+		t.Fatal("coarse member must not advertise bypass")
 	}
 
 	// Seed entries that must survive every morph below.
@@ -80,9 +109,9 @@ func TestMapMorphLifecycle(t *testing.T) {
 		m.Set(fmt.Sprintf("seed%03d", i), int64(1000+i))
 	}
 
-	// Pure-write window: quiet striped descends to coarse.
-	if from, to, ok := mapWindow(m, 0, 400); !ok || from != "striped" || to != "coarse" {
-		t.Fatalf("write window: morph %q→%q ok=%v, want striped→coarse", from, to, ok)
+	// Pure-write window: the boot member is the write member already.
+	if from, to, ok := mapWindow(m, 0, 400); ok {
+		t.Fatalf("write window: morph %q→%q, want none", from, to)
 	}
 
 	// Read-heavy window: morphs to epoch and turns bypass on.
@@ -96,7 +125,7 @@ func TestMapMorphLifecycle(t *testing.T) {
 		t.Fatalf("TryGet(seed007) = %d,%v,%v; want 1007,true,true", v, ok, served)
 	}
 
-	// Write-heavy window: returns to the saved rung (coarse).
+	// Write-heavy window: back to coarse.
 	if from, to, ok := mapWindow(m, 10, 400); !ok || from != "epoch" || to != "coarse" {
 		t.Fatalf("return window: morph %q→%q ok=%v, want epoch→coarse", from, to, ok)
 	}
@@ -104,7 +133,7 @@ func TestMapMorphLifecycle(t *testing.T) {
 		t.Fatal("TryGet served on a non-bypass member")
 	}
 
-	// Every seed entry survived three migrations.
+	// Every seed entry survived both migrations.
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("seed%03d", i)
 		if v, ok := m.Get(k); !ok || v != int64(1000+i) {
@@ -112,31 +141,25 @@ func TestMapMorphLifecycle(t *testing.T) {
 		}
 	}
 
-	if got := m.Flips(); got != 3 {
-		t.Fatalf("Flips() = %d, want 3", got)
+	if got := m.Flips(); got != 2 {
+		t.Fatalf("Flips() = %d, want 2", got)
 	}
 	want := []Transition{
 		{From: "coarse", To: "epoch", N: 1},
 		{From: "epoch", To: "coarse", N: 1},
-		{From: "striped", To: "coarse", N: 1},
 	}
-	got := m.Transitions()
-	if len(got) != len(want) {
+	if got := m.Transitions(); !slices.Equal(got, want) {
 		t.Fatalf("Transitions() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Transitions()[%d] = %v, want %v", i, got[i], want[i])
-		}
 	}
 }
 
-// TestSetMorphLifecycle mirrors the map lifecycle for the set: the read
-// member is the on-ladder lock-free top rung, left by ordinary descent.
+// TestSetMorphLifecycle mirrors the map lifecycle for the set: the
+// lock-free read member is entered on a read-heavy window and left in
+// one migration on a write-heavy one.
 func TestSetMorphLifecycle(t *testing.T) {
 	s := NewSet(64, cfg1)
-	if got := s.Current(); got != "striped" {
-		t.Fatalf("boot member %q, want striped", got)
+	if got := s.Current(); got != "coarse" {
+		t.Fatalf("boot member %q, want coarse", got)
 	}
 	for i := 0; i < 100; i++ {
 		s.Add(i)
@@ -144,36 +167,32 @@ func TestSetMorphLifecycle(t *testing.T) {
 
 	// Read-heavy window (the 100 Adds above are in it too): jump to
 	// lockfree.
-	for i := 0; i < 1000; i++ {
-		s.Contains(i % 100)
-	}
-	if from, to, ok := s.Tick(); !ok || from != "striped" || to != "lockfree" {
-		t.Fatalf("read window: morph %q→%q ok=%v, want striped→lockfree", from, to, ok)
+	if from, to, ok := setWindow(s, 1000, 0); !ok || from != "coarse" || to != "lockfree" {
+		t.Fatalf("read window: morph %q→%q ok=%v, want coarse→lockfree", from, to, ok)
 	}
 	if member, served := s.TryContains(42); !served || !member {
 		t.Fatalf("TryContains(42) = %v,%v; want true,true", member, served)
 	}
 
-	// Write-heavy quiet window: descend one rung at a time back to coarse.
-	wantDown := []string{"refinable", "striped", "coarse"}
-	at := "lockfree"
-	for _, next := range wantDown {
-		for i := 0; i < 400; i++ {
-			s.Add(1000 + i)
-			s.Remove(1000 + i)
+	// Write-heavy windows: one migration back to coarse, then no more.
+	if from, to, ok := setWindow(s, 0, 800); !ok || from != "lockfree" || to != "coarse" {
+		t.Fatalf("return window: morph %q→%q ok=%v, want lockfree→coarse", from, to, ok)
+	}
+	if _, served := s.TryContains(42); served {
+		t.Fatal("TryContains served on a non-bypass member")
+	}
+	for i := 0; i < 2; i++ {
+		if from, to, ok := setWindow(s, 0, 800); ok {
+			t.Fatalf("write window on coarse: morph %q→%q, want none", from, to)
 		}
-		if from, to, ok := s.Tick(); !ok || from != at || to != next {
-			t.Fatalf("descent: morph %q→%q ok=%v, want %s→%s", from, to, ok, at, next)
-		}
-		at = next
 	}
 	for i := 0; i < 100; i++ {
 		if !s.Contains(i) {
 			t.Fatalf("member %d lost across morphs", i)
 		}
 	}
-	if got := s.Flips(); got != 4 {
-		t.Fatalf("Flips() = %d, want 4", got)
+	if got := s.Flips(); got != 2 {
+		t.Fatalf("Flips() = %d, want 2", got)
 	}
 }
 
@@ -208,7 +227,7 @@ func TestTryGetDuringMorphs(t *testing.T) {
 	flips := m.Flips()
 	for round := 0; round < 40; round++ {
 		mapWindow(m, 400, 10) // pull toward epoch
-		mapWindow(m, 10, 400) // push back to the ladder
+		mapWindow(m, 10, 400) // push back to coarse
 	}
 	close(done)
 	wg.Wait()

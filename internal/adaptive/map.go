@@ -1,192 +1,63 @@
 package adaptive
 
-import (
-	"sync/atomic"
+import "amp/internal/strmap"
 
-	"amp/internal/strmap"
-)
-
-// mapRanger is the migration capability (quiesced enumeration).
-type mapRanger interface {
+// rangeMap is what a map member must offer: the Map operations plus the
+// quiesced enumeration that migration (and the server's snapshot cut)
+// walks.
+type rangeMap interface {
+	strmap.Map
 	Range(f func(key string, val int64) bool)
 }
 
-// Compile-time capability checks for every member the map controller can
-// select: migration needs Range, the policy needs Contention.
-var (
-	_ mapRanger = (*strmap.CoarseMap)(nil)
-	_ mapRanger = (*strmap.StripedMap)(nil)
-	_ mapRanger = (*strmap.RefinableMap)(nil)
-	_ mapRanger = (*strmap.CuckooChainMap)(nil)
-	_ mapRanger = (*strmap.EpochMap)(nil)
-	_ contender = (*strmap.CoarseMap)(nil)
-	_ contender = (*strmap.StripedMap)(nil)
-	_ contender = (*strmap.RefinableMap)(nil)
-	_ contender = (*strmap.CuckooChainMap)(nil)
-	_ contender = (*strmap.EpochMap)(nil)
-)
-
-// mapSpec is one selectable member: a name, a constructor, and whether
-// its Get is safe from any goroutine (the wait-free bypass capability).
-type mapSpec struct {
-	name   string
-	bypass bool
-	make   func(capacity int) strmap.Map
+var mapSpecs = [2]spec[rangeMap]{
+	writeMember: {name: "coarse", make: func(c int) rangeMap { return strmap.NewCoarseMap(c) }},
+	readMember:  {name: "epoch", make: func(c int) rangeMap { return strmap.NewEpochMap(c) }},
 }
 
-// mapLadder is the write ladder in climbing order; mapRead is the
-// off-ladder read-optimized member (index len(mapLadder) to the
-// controller).
-var (
-	mapLadder = []mapSpec{
-		{name: "coarse", make: func(c int) strmap.Map { return strmap.NewCoarseMap(c) }},
-		{name: "striped", make: func(c int) strmap.Map { return strmap.NewStripedMap(c) }},
-		{name: "refinable", make: func(c int) strmap.Map { return strmap.NewRefinableMap(c) }},
-		{name: "cuckoo-chain", make: func(c int) strmap.Map { return strmap.NewCuckooChainMap(c) }},
-	}
-	mapRead = mapSpec{name: "epoch", bypass: true,
-		make: func(c int) strmap.Map { return strmap.NewEpochMap(c) }}
-
-	// mapStart is the boot rung: striped, the server's fixed default.
-	mapStart = 1
-)
-
-// mapMember is one live implementation. Immutable once published.
-type mapMember struct {
-	name   string
-	bypass bool
-	impl   strmap.Map
+func migrateMap(from, to rangeMap) {
+	from.Range(func(k string, v int64) bool {
+		to.Set(k, v)
+		return true
+	})
 }
 
-// Map is the contention-adaptive string map. It implements strmap.Map;
-// writes (and non-bypass reads) must come from one owner goroutine at a
-// time, which also calls Tick at its batch boundaries. TryGet is safe
-// from any goroutine.
-type Map struct {
-	ctl      controller
-	capacity int
-	cur      atomic.Pointer[mapMember]
-
-	// Window op counters. Atomics because TryGet runs on arbitrary
-	// goroutines; the owner-only writes don't need the atomicity but
-	// share the representation.
-	reads  atomic.Int64
-	writes atomic.Int64
-
-	// Window baselines, owner-only.
-	lastReads  int64
-	lastWrites int64
-	lastCont   int64
-}
+// Map is the adaptive string map. It implements strmap.Map; writes (and
+// non-bypass reads) must come from one owner goroutine at a time, which
+// also calls Tick at its batch boundaries. TryGet is safe from any
+// goroutine.
+type Map struct{ core[rangeMap] }
 
 var _ strmap.Map = (*Map)(nil)
 
-// NewMap returns an adaptive map starting on the striped rung.
+// NewMap returns an adaptive map on its write member, coarse.
 func NewMap(capacity int, cfg Config) *Map {
-	m := &Map{ctl: controller{
-		cfg:       cfg.withDefaults(),
-		ladderLen: len(mapLadder),
-		readIdx:   len(mapLadder),
-		pos:       mapStart,
-		rung:      mapStart,
-	}, capacity: normCap(capacity)}
-	m.cur.Store(m.member(mapStart))
+	m := new(Map)
+	m.init(capacity, cfg, mapSpecs, migrateMap)
 	return m
 }
 
-// member builds a fresh instance of member index i.
-func (m *Map) member(i int) *mapMember {
-	spec := mapRead
-	if i < len(mapLadder) {
-		spec = mapLadder[i]
-	}
-	impl := spec.make(m.capacity)
-	_, isRanger := impl.(mapRanger)
-	checkCapability(isRanger, spec.name, "Range")
-	return &mapMember{name: spec.name, bypass: spec.bypass, impl: impl}
-}
-
 // Set maps key to val, reporting whether the key was absent. Owner only.
-func (m *Map) Set(key string, val int64) bool {
-	m.writes.Add(1)
-	return m.cur.Load().impl.Set(key, val)
-}
+func (m *Map) Set(key string, val int64) bool { return m.forWrite().Set(key, val) }
 
 // Get returns the value at key. Owner only (bypass readers use TryGet).
-func (m *Map) Get(key string) (int64, bool) {
-	m.reads.Add(1)
-	return m.cur.Load().impl.Get(key)
-}
+func (m *Map) Get(key string) (int64, bool) { return m.forRead().Get(key) }
 
 // Del removes key, reporting whether it was present. Owner only.
-func (m *Map) Del(key string) bool {
-	m.writes.Add(1)
-	return m.cur.Load().impl.Del(key)
-}
+func (m *Map) Del(key string) bool { return m.forWrite().Del(key) }
 
-// BypassOK reports whether the current member's reads are safe from any
-// goroutine. A true result can go stale across a morph; TryGet revalidates.
-func (m *Map) BypassOK() bool { return m.cur.Load().bypass }
-
-// TryGet serves a read from any goroutine when the current member allows
-// it; served=false means the caller must route the read through the
-// owner. The read linearizes at the member load: a morph that flips cur
-// concurrently leaves the loaded (old) member intact and unwritten.
+// TryGet serves a read from any goroutine while the map is on its read
+// member; served=false means the caller must route the read through the
+// owner.
 func (m *Map) TryGet(key string) (val int64, ok, served bool) {
-	cur := m.cur.Load()
-	if !cur.bypass {
+	impl, served := m.forBypass()
+	if !served {
 		return 0, false, false
 	}
-	m.reads.Add(1)
-	val, ok = cur.impl.Get(key)
+	val, ok = impl.Get(key)
 	return val, ok, true
 }
 
-// Tick is the owner's batch-boundary hook: every cfg.Every calls it
-// closes the sampling window, consults the policy, and — when the policy
-// says morph — migrates and flips right here on the owner goroutine.
-// flipped reports a completed morph with its edge.
-func (m *Map) Tick() (from, to string, flipped bool) {
-	c := &m.ctl
-	if c.drains++; c.drains < c.cfg.Every {
-		return "", "", false
-	}
-	c.drains = 0
-	cur := m.cur.Load()
-	reads, writes := m.reads.Load(), m.writes.Load()
-	cont := contentionOf(cur.impl)
-	dr, dw, dc := reads-m.lastReads, writes-m.lastWrites, cont-m.lastCont
-	if dr+dw >= c.cfg.MinOps {
-		m.lastReads, m.lastWrites, m.lastCont = reads, writes, cont
-	}
-	target, ok := c.decide(dr, dw, dc)
-	if !ok {
-		return "", "", false
-	}
-	next := m.member(target)
-	cur.impl.(mapRanger).Range(func(k string, v int64) bool {
-		next.impl.Set(k, v)
-		return true
-	})
-	m.cur.Store(next)
-	m.lastCont = contentionOf(next.impl) // fresh instance: restart the baseline
-	c.applyMorph(target)
-	c.record(cur.name, next.name)
-	return cur.name, next.name, true
-}
-
-// Range enumerates the live member (every selectable member has the
-// capability — checked at construction). Owner only, like the writes:
-// callers quiesce the shard first, exactly as Tick's migration does.
-func (m *Map) Range(f func(key string, val int64) bool) {
-	m.cur.Load().impl.(mapRanger).Range(f)
-}
-
-// Current reports the live member's name. Safe from any goroutine.
-func (m *Map) Current() string { return m.cur.Load().name }
-
-// Flips reports completed morphs. Safe from any goroutine.
-func (m *Map) Flips() int64 { return m.ctl.Flips() }
-
-// Transitions reports the morph edges taken. Safe from any goroutine.
-func (m *Map) Transitions() []Transition { return m.ctl.Transitions() }
+// Range enumerates the live member. Owner only, like the writes: callers
+// quiesce the shard first, exactly as Tick's migration does.
+func (m *Map) Range(f func(key string, val int64) bool) { m.cur.Load().impl.Range(f) }

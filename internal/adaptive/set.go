@@ -1,173 +1,64 @@
 package adaptive
 
 import (
-	"sync/atomic"
-
 	"amp/internal/hashset"
 	"amp/internal/list"
 )
 
-// setRanger is the migration capability (quiesced enumeration).
-type setRanger interface {
+// rangeSet is what a set member must offer; see rangeMap.
+type rangeSet interface {
+	list.Set
 	Range(f func(x int) bool)
 }
 
-var (
-	_ setRanger = (*hashset.CoarseHashSet)(nil)
-	_ setRanger = (*hashset.StripedHashSet)(nil)
-	_ setRanger = (*hashset.RefinableHashSet)(nil)
-	_ setRanger = (*hashset.LockFreeHashSet)(nil)
-	_ contender = (*hashset.CoarseHashSet)(nil)
-	_ contender = (*hashset.StripedHashSet)(nil)
-	_ contender = (*hashset.RefinableHashSet)(nil)
-	_ contender = (*hashset.LockFreeHashSet)(nil)
-)
-
-type setSpec struct {
-	name   string
-	bypass bool
-	make   func(capacity int) list.Set
+var setSpecs = [2]spec[rangeSet]{
+	writeMember: {name: "coarse", make: func(c int) rangeSet { return hashset.NewCoarseHashSet(c) }},
+	readMember:  {name: "lockfree", make: func(int) rangeSet { return hashset.NewLockFreeHashSet() }},
 }
 
-// setLadder is the write ladder in climbing order. Its top rung — the
-// lock-free split-ordered set — doubles as the read-optimized member
-// (its Contains is CAS-free and safe from any goroutine), so the set
-// controller's readIdx is on-ladder: a read-heavy window jumps straight
-// to the top, and the ordinary contention descent walks it back down
-// when the mix turns write-heavy again.
-var (
-	setLadder = []setSpec{
-		{name: "coarse", make: func(c int) list.Set { return hashset.NewCoarseHashSet(c) }},
-		{name: "striped", make: func(c int) list.Set { return hashset.NewStripedHashSet(c) }},
-		{name: "refinable", make: func(c int) list.Set { return hashset.NewRefinableHashSet(c) }},
-		{name: "lockfree", bypass: true, make: func(c int) list.Set { return hashset.NewLockFreeHashSet() }},
-	}
-	setStart = 1 // striped, the server's fixed default
-)
-
-type setMember struct {
-	name   string
-	bypass bool
-	impl   list.Set
+func migrateSet(from, to rangeSet) {
+	from.Range(func(x int) bool {
+		to.Add(x)
+		return true
+	})
 }
 
-// Set is the contention-adaptive integer set. It implements list.Set;
-// writes (and non-bypass reads) must come from one owner goroutine at a
-// time, which also calls Tick at its batch boundaries. TryContains is
-// safe from any goroutine.
-type Set struct {
-	ctl      controller
-	capacity int
-	cur      atomic.Pointer[setMember]
-
-	reads  atomic.Int64
-	writes atomic.Int64
-
-	lastReads  int64
-	lastWrites int64
-	lastCont   int64
-}
+// Set is the adaptive integer set. It implements list.Set; writes (and
+// non-bypass reads) must come from one owner goroutine at a time, which
+// also calls Tick at its batch boundaries. TryContains is safe from any
+// goroutine.
+type Set struct{ core[rangeSet] }
 
 var _ list.Set = (*Set)(nil)
 
-// NewSet returns an adaptive set starting on the striped rung.
+// NewSet returns an adaptive set on its write member, coarse.
 func NewSet(capacity int, cfg Config) *Set {
-	s := &Set{ctl: controller{
-		cfg:       cfg.withDefaults(),
-		ladderLen: len(setLadder),
-		readIdx:   len(setLadder) - 1, // lockfree, on-ladder
-		pos:       setStart,
-		rung:      setStart,
-	}, capacity: normCap(capacity)}
-	s.cur.Store(s.member(setStart))
+	s := new(Set)
+	s.init(capacity, cfg, setSpecs, migrateSet)
 	return s
 }
 
-func (s *Set) member(i int) *setMember {
-	spec := setLadder[i]
-	impl := spec.make(s.capacity)
-	_, isRanger := impl.(setRanger)
-	checkCapability(isRanger, spec.name, "Range")
-	return &setMember{name: spec.name, bypass: spec.bypass, impl: impl}
-}
-
 // Add inserts x, reporting whether it was absent. Owner only.
-func (s *Set) Add(x int) bool {
-	s.writes.Add(1)
-	return s.cur.Load().impl.Add(x)
-}
+func (s *Set) Add(x int) bool { return s.forWrite().Add(x) }
 
 // Remove deletes x, reporting whether it was present. Owner only.
-func (s *Set) Remove(x int) bool {
-	s.writes.Add(1)
-	return s.cur.Load().impl.Remove(x)
-}
+func (s *Set) Remove(x int) bool { return s.forWrite().Remove(x) }
 
 // Contains reports membership. Owner only (bypass readers use
 // TryContains).
-func (s *Set) Contains(x int) bool {
-	s.reads.Add(1)
-	return s.cur.Load().impl.Contains(x)
-}
+func (s *Set) Contains(x int) bool { return s.forRead().Contains(x) }
 
-// BypassOK reports whether the current member's reads are safe from any
-// goroutine. Can go stale across a morph; TryContains revalidates.
-func (s *Set) BypassOK() bool { return s.cur.Load().bypass }
-
-// TryContains serves a membership read from any goroutine when the
-// current member allows it; served=false means the caller must route the
+// TryContains serves a membership read from any goroutine while the set
+// is on its read member; served=false means the caller must route the
 // read through the owner.
 func (s *Set) TryContains(x int) (member, served bool) {
-	cur := s.cur.Load()
-	if !cur.bypass {
+	impl, served := s.forBypass()
+	if !served {
 		return false, false
 	}
-	s.reads.Add(1)
-	return cur.impl.Contains(x), true
+	return impl.Contains(x), true
 }
 
-// Tick is the owner's batch-boundary hook; see Map.Tick.
-func (s *Set) Tick() (from, to string, flipped bool) {
-	c := &s.ctl
-	if c.drains++; c.drains < c.cfg.Every {
-		return "", "", false
-	}
-	c.drains = 0
-	cur := s.cur.Load()
-	reads, writes := s.reads.Load(), s.writes.Load()
-	cont := contentionOf(cur.impl)
-	dr, dw, dc := reads-s.lastReads, writes-s.lastWrites, cont-s.lastCont
-	if dr+dw >= c.cfg.MinOps {
-		s.lastReads, s.lastWrites, s.lastCont = reads, writes, cont
-	}
-	target, ok := c.decide(dr, dw, dc)
-	if !ok {
-		return "", "", false
-	}
-	next := s.member(target)
-	cur.impl.(setRanger).Range(func(x int) bool {
-		next.impl.Add(x)
-		return true
-	})
-	s.cur.Store(next)
-	s.lastCont = contentionOf(next.impl)
-	c.applyMorph(target)
-	c.record(cur.name, next.name)
-	return cur.name, next.name, true
-}
-
-// Range enumerates the live member (every ladder rung has the
-// capability — checked at construction). Owner only, like the writes:
-// callers quiesce the shard first, exactly as Tick's migration does.
-func (s *Set) Range(f func(x int) bool) {
-	s.cur.Load().impl.(setRanger).Range(f)
-}
-
-// Current reports the live member's name. Safe from any goroutine.
-func (s *Set) Current() string { return s.cur.Load().name }
-
-// Flips reports completed morphs. Safe from any goroutine.
-func (s *Set) Flips() int64 { return s.ctl.Flips() }
-
-// Transitions reports the morph edges taken. Safe from any goroutine.
-func (s *Set) Transitions() []Transition { return s.ctl.Transitions() }
+// Range enumerates the live member. Owner only, like the writes: callers
+// quiesce the shard first, exactly as Tick's migration does.
+func (s *Set) Range(f func(x int) bool) { s.cur.Load().impl.Range(f) }

@@ -1,21 +1,13 @@
 package hashset
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
+import "testing"
 
 type setRanger interface {
 	Range(f func(x int) bool)
 }
 
-type setContender interface {
-	Contention() int64
-}
-
-// hookedSets builds one instance of every adaptive-ladder backend; each
-// must expose Range and Contention.
+// hookedSets builds one instance of each Ch. 13 lock-discipline set and
+// the lock-free set; each must expose Range.
 func hookedSets() map[string]Set {
 	return map[string]Set{
 		"coarse":    NewCoarseHashSet(16),
@@ -33,9 +25,6 @@ func TestSetRangeEnumeratesAll(t *testing.T) {
 			r, ok := s.(setRanger)
 			if !ok {
 				t.Fatalf("%s does not implement Range", name)
-			}
-			if _, ok := s.(setContender); !ok {
-				t.Fatalf("%s does not implement Contention", name)
 			}
 			want := map[int]bool{}
 			for i := 0; i < 500; i++ {
@@ -70,55 +59,6 @@ func TestSetRangeEnumeratesAll(t *testing.T) {
 			}
 			if !s.Add(99999) {
 				t.Errorf("Add after Range reported duplicate for a fresh item")
-			}
-		})
-	}
-}
-
-// TestSetContentionCounts pins the TryLock-miss-counts-before-parking
-// protocol on the coarse and striped sets (see the strmap twin for the
-// scheme: a Range callback holds the locks, a blocked writer's count
-// appears while it waits).
-func TestSetContentionCounts(t *testing.T) {
-	cases := map[string]Set{
-		"coarse":  NewCoarseHashSet(16),
-		"striped": NewStripedHashSet(16),
-	}
-	for name, s := range cases {
-		t.Run(name, func(t *testing.T) {
-			s.Add(1)
-			c := s.(setContender)
-			if c.Contention() != 0 {
-				t.Fatalf("fresh set reports contention %d", c.Contention())
-			}
-			inRange := make(chan struct{})
-			release := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				s.(setRanger).Range(func(int) bool {
-					close(inRange)
-					<-release
-					return true
-				})
-			}()
-			<-inRange
-			go func() {
-				defer wg.Done()
-				s.Add(2)
-			}()
-			deadline := time.Now().Add(5 * time.Second)
-			for c.Contention() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("blocked writer never counted as contended")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(release)
-			wg.Wait()
-			if !s.Contains(2) {
-				t.Fatal("contended Add lost")
 			}
 		})
 	}

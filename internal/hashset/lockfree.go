@@ -74,7 +74,6 @@ type LockFreeHashSet struct {
 	segments   []atomic.Pointer[soSegment]
 	bucketSize atomic.Uint64 // current bucket count, a power of two
 	setSize    atomic.Int64
-	cont       atomic.Int64 // failed CAS rounds in Add/Remove
 }
 
 const (
@@ -209,13 +208,11 @@ func (s *LockFreeHashSet) Add(x int) bool {
 		node := newSONode(key, x, curr)
 		expected := pred.next.Load()
 		if expected.node != curr || expected.marked {
-			s.cont.Add(1)
 			continue
 		}
 		if pred.next.CompareAndSwap(expected, &soRef{node: node}) {
 			break
 		}
-		s.cont.Add(1)
 	}
 	size := s.setSize.Add(1)
 	if bs := s.bucketSize.Load(); bs < soMaxBuckets && size/int64(bs) > soThreshold {
@@ -235,11 +232,9 @@ func (s *LockFreeHashSet) Remove(x int) bool {
 		}
 		succRef := curr.next.Load()
 		if succRef.marked {
-			s.cont.Add(1)
 			continue
 		}
 		if !curr.next.CompareAndSwap(succRef, &soRef{node: succRef.node, marked: true}) {
-			s.cont.Add(1)
 			continue
 		}
 		s.setSize.Add(-1)
@@ -258,11 +253,6 @@ func (s *LockFreeHashSet) Contains(x int) bool {
 	}
 	return curr != nil && curr.key == key && curr.item == x && !curr.next.Load().marked
 }
-
-// Contention reports Add/Remove rounds lost to a concurrent CAS — the
-// direct "practical wait-freedom" signal: retries happen exactly when
-// another thread won the same window.
-func (s *LockFreeHashSet) Contention() int64 { return s.cont.Load() }
 
 // Range enumerates items until f returns false by walking the whole
 // split-ordered list from the head sentinel, skipping sentinels (even

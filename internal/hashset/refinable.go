@@ -19,7 +19,6 @@ type lockArray struct {
 // then swaps both arrays.
 type RefinableHashSet struct {
 	resizing atomic.Bool                 // the "owner mark": a resize is announced
-	cont     atomic.Int64                // contended acquire rounds
 	locks    atomic.Pointer[lockArray]   // current stripe array
 	table    atomic.Pointer[bucketTable] // current bucket table
 }
@@ -40,30 +39,18 @@ func NewRefinableHashSet(capacity int) *RefinableHashSet {
 // acquire loop).
 func (s *RefinableHashSet) acquire(x int) (*lockArray, *sync.Mutex) {
 	for {
-		contended := false
 		for s.resizing.Load() {
-			contended = true
 			runtime.Gosched() // a resize is announced; stand back
 		}
 		oldLocks := s.locks.Load()
 		l := &oldLocks.locks[hashIndex(x, len(oldLocks.locks))]
-		if !l.TryLock() {
-			contended = true
-			l.Lock()
-		}
+		l.Lock()
 		if !s.resizing.Load() && s.locks.Load() == oldLocks {
-			if contended {
-				s.cont.Add(1)
-			}
 			return oldLocks, l
 		}
 		l.Unlock()
-		s.cont.Add(1)
 	}
 }
-
-// Contention reports acquire rounds that waited or retried.
-func (s *RefinableHashSet) Contention() int64 { return s.cont.Load() }
 
 // Range enumerates items until f returns false, using the resize
 // protocol to quiesce: announce ownership, lock every current stripe,

@@ -89,7 +89,6 @@ func (t *bucketTable) rangeItems(f func(x int) bool) {
 // everything, including resizing.
 type CoarseHashSet struct {
 	mu    sync.Mutex
-	cont  atomic.Int64
 	table *bucketTable
 }
 
@@ -101,21 +100,9 @@ func NewCoarseHashSet(capacity int) *CoarseHashSet {
 	return &CoarseHashSet{table: newBucketTable(capacity)}
 }
 
-// lock takes the set lock, counting the acquisition as contended when a
-// TryLock probe misses first.
-func (s *CoarseHashSet) lock() {
-	if !s.mu.TryLock() {
-		s.cont.Add(1)
-		s.mu.Lock()
-	}
-}
-
-// Contention reports lock acquisitions that found the lock held.
-func (s *CoarseHashSet) Contention() int64 { return s.cont.Load() }
-
 // Add inserts x, reporting whether it was absent.
 func (s *CoarseHashSet) Add(x int) bool {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	ok := s.table.add(x)
 	if ok && s.table.policy() {
@@ -126,21 +113,21 @@ func (s *CoarseHashSet) Add(x int) bool {
 
 // Remove deletes x, reporting whether it was present.
 func (s *CoarseHashSet) Remove(x int) bool {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.table.remove(x)
 }
 
 // Contains reports membership of x.
 func (s *CoarseHashSet) Contains(x int) bool {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.table.contains(x)
 }
 
 // Range enumerates items under the set lock until f returns false.
 func (s *CoarseHashSet) Range(f func(x int) bool) {
-	s.lock()
+	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.table.rangeItems(f)
 }
@@ -150,7 +137,6 @@ func (s *CoarseHashSet) Range(f func(x int) bool) {
 // each lock covers more buckets as the set fills.
 type StripedHashSet struct {
 	locks []sync.Mutex
-	cont  atomic.Int64
 	table *bucketTable
 }
 
@@ -171,15 +157,9 @@ func NewStripedHashSet(capacity int) *StripedHashSet {
 // grows (the stripe count divides every table size).
 func (s *StripedHashSet) lockFor(x int) *sync.Mutex {
 	l := &s.locks[hashIndex(x, len(s.locks))]
-	if !l.TryLock() {
-		s.cont.Add(1)
-		l.Lock()
-	}
+	l.Lock()
 	return l
 }
-
-// Contention reports stripe acquisitions that found the stripe held.
-func (s *StripedHashSet) Contention() int64 { return s.cont.Load() }
 
 // Range enumerates items with every stripe held until f returns false.
 func (s *StripedHashSet) Range(f func(x int) bool) {

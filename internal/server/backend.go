@@ -66,17 +66,14 @@ type Options struct {
 
 	// Morph controls live morphing on the "adaptive" set/map backends:
 	// "on" (default) lets each shard's controller migrate its structure
-	// between ladder members as the observed workload shifts; "off"
-	// freezes the adaptive backends on their boot member (striped).
-	// Ignored unless an adaptive backend is selected.
+	// between its write and read members as the observed read/write mix
+	// shifts; "off" freezes the adaptive backends on their boot member
+	// (coarse). Ignored unless an adaptive backend is selected.
 	//
 	// MorphEvery is the number of batch drains between controller
-	// evaluations per shard (default 32); MorphReadPct is the window
-	// read percentage at which a shard morphs to its read-optimized
-	// member (default 90).
-	Morph        string
-	MorphEvery   int
-	MorphReadPct int
+	// evaluations per shard (default 32).
+	Morph      string
+	MorphEvery int
 
 	// Txn selects the transactional engine serving MULTI/EXEC and, when
 	// enabled, the fast path of the string-map and counter families (so
@@ -144,7 +141,6 @@ func (o Options) withDefaults() Options {
 	def(&o.ReadBypass, "on")
 	def(&o.Morph, "on")
 	defInt(&o.MorphEvery, 32)
-	defInt(&o.MorphReadPct, 90)
 	def(&o.Txn, "tl2")
 	def(&o.CM, "aggressive")
 	defInt(&o.SetCapacity, 1024)
@@ -327,11 +323,7 @@ type mapEntry struct {
 // morphConfig renders the -morph options as an adaptive controller
 // configuration (zero fields select the adaptive defaults).
 func (o Options) morphConfig() adaptive.Config {
-	return adaptive.Config{
-		Every:  o.MorphEvery,
-		ReadHi: float64(o.MorphReadPct) / 100,
-		MinOps: int64(o.morphMinOps),
-	}
+	return adaptive.Config{Every: o.MorphEvery, MinOps: int64(o.morphMinOps)}
 }
 
 // Backend constructor tables. Each entry builds a fresh instance from the
@@ -347,10 +339,9 @@ var (
 		// internal/epoch). Ordered-set semantics instead of hashing.
 		"list-epoch": {make: func(o Options) list.Set { return list.NewEpochList() }, readBypass: true},
 		"skip-epoch": {make: func(o Options) list.Set { return skiplist.NewEpochSkipList() }, readBypass: true},
-		// Self-tuning meta-backend (internal/adaptive): starts striped and
-		// morphs along coarse→striped→refinable→lockfree with observed
-		// contention and read mix; reads take the wait-free bypass
-		// whenever the live member is the lock-free set.
+		// Self-tuning meta-backend (internal/adaptive): starts coarse and
+		// switches to the lock-free set while the mix is read-heavy;
+		// reads take the wait-free bypass whenever that is the live member.
 		"adaptive": {make: func(o Options) list.Set { return adaptive.NewSet(o.SetCapacity, o.morphConfig()) },
 			adaptive: true},
 	}
@@ -365,10 +356,9 @@ var (
 		// RCU-style epoch-published table: mutex writers, lock-free
 		// epoch-pinned readers — the map family's bypass-capable member.
 		"epoch": {make: func(o Options) strmap.Map { return strmap.NewEpochMap(o.SetCapacity) }, readBypass: true},
-		// Self-tuning meta-backend: morphs along the write ladder
-		// (coarse→striped→refinable→cuckoo-chain) with contention and
-		// jumps to the epoch table when the mix turns read-heavy, turning
-		// the wait-free HGET bypass on live.
+		// Self-tuning meta-backend: starts coarse and switches to the
+		// epoch table while the mix is read-heavy, turning the wait-free
+		// HGET bypass on live.
 		"adaptive": {make: func(o Options) strmap.Map { return adaptive.NewMap(o.SetCapacity, o.morphConfig()) },
 			adaptive: true},
 	}

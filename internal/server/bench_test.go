@@ -330,8 +330,8 @@ func benchReadMostly(b *testing.B, readPct int, bypass string) {
 // BenchmarkServerTCPAdaptive measures the self-tuning backends under the
 // workload they exist for: pipelined traffic whose read fraction swings
 // between write-heavy and read-heavy every few thousand operations, so
-// the per-shard controllers step the ladder and flip members while the
-// benchmark is running. The reported morphs metric proves the morphing
+// the per-shard controllers flip members while the benchmark is
+// running. The reported morphs metric proves the morphing
 // actually happened in-measurement; CI's ratio gate holds the ns/op
 // within range of the recorded baseline so the adaptive wrapper's
 // steady-state overhead cannot regress silently.
@@ -379,8 +379,8 @@ func BenchmarkServerTCPAdaptive(b *testing.B) {
 		for pb.Next() {
 			i++
 			// Alternate regimes every 4096 ops per client: a 95%-read
-			// stretch (pushes shards onto the read-optimized member)
-			// then a 10%-read stretch (pulls them back down-ladder).
+			// stretch (pushes shards onto the read member) then a
+			// 10%-read stretch (pulls them back to coarse).
 			readPct := int64(95)
 			if (i>>12)&1 == 1 {
 				readPct = 10

@@ -271,12 +271,10 @@ type engine struct {
 	// Adaptive morphing state. bypassDynSet/bypassDynMap mark families
 	// whose bypass capability is dynamic — the adaptive backends, where
 	// safety is a property of the shard's live member, consulted per
-	// command. morphOn gates the batch-boundary controller ticks;
-	// morphFlips counts completed morphs across all shards for STATS.
+	// command. morphOn gates the batch-boundary controller ticks.
 	bypassDynSet bool
 	bypassDynMap bool
 	morphOn      bool
-	morphFlips   metrics.FlatCounter
 
 	// Combiner-path split for STATS: drains performed inline by a
 	// submitting connection goroutine versus by the dedicated shard
@@ -312,9 +310,6 @@ func newEngine(o Options) (*engine, error) {
 	}
 	if o.Morph != "on" && o.Morph != "off" {
 		return nil, fmt.Errorf("server: unknown morph mode %q (have on, off)", o.Morph)
-	}
-	if o.MorphReadPct < 1 || o.MorphReadPct > 100 {
-		return nil, fmt.Errorf("server: morph read percentage %d outside [1,100]", o.MorphReadPct)
 	}
 	newQueue, err := lookup("queue", o.Queue, queueBackends)
 	if err != nil {
@@ -399,7 +394,7 @@ func newEngine(o Options) (*engine, error) {
 		)
 	}
 	if setEnt.adaptive || mapEnt.adaptive {
-		e.ext = append(e.ext, e.morphFlips.External("morph.flip"))
+		e.ext = append(e.ext, metrics.External{Name: "morph.flip", Read: e.morphFlips})
 	}
 	for op, name := range metricNames {
 		if name != "" {
@@ -499,7 +494,7 @@ func (e *engine) abort() {
 // between this check and the read is handled by readLocal's revalidation
 // (TryGet/TryContains report served=false and the command falls through
 // to the mailbox path). Crucially the check is false while a shard is on
-// the write ladder, so reads keep riding batches there instead of
+// its write member, so reads keep riding batches there instead of
 // cutting every pipelined run in two.
 func (e *engine) canBypass(cmd Command) bool {
 	switch cmd.Op {
@@ -908,15 +903,25 @@ func (e *engine) afterBatch(s *shard) {
 		return
 	}
 	if s.adSet != nil {
-		if _, _, flipped := s.adSet.Tick(); flipped {
-			e.morphFlips.Inc()
-		}
+		s.adSet.Tick()
 	}
 	if s.adMap != nil {
-		if _, _, flipped := s.adMap.Tick(); flipped {
-			e.morphFlips.Inc()
+		s.adMap.Tick()
+	}
+}
+
+// morphFlips sums the controllers' completed morphs across all shards.
+func (e *engine) morphFlips() int64 {
+	var flips int64
+	for _, s := range e.allShards() {
+		if s.adSet != nil {
+			flips += s.adSet.Flips()
+		}
+		if s.adMap != nil {
+			flips += s.adMap.Flips()
 		}
 	}
+	return flips
 }
 
 // execute applies one command against the shard's set or the shared
@@ -1165,17 +1170,8 @@ func (e *engine) bypassState(static, dynamic bool) string {
 // live members as adaptive(name:shards ...), sorted by name.
 func (e *engine) morphLines() string {
 	var sb strings.Builder
-	var flips int64
-	for _, s := range e.allShards() {
-		if s.adSet != nil {
-			flips += s.adSet.Flips()
-		}
-		if s.adMap != nil {
-			flips += s.adMap.Flips()
-		}
-	}
 	fmt.Fprintf(&sb, "morph mode=%s every=%d set=%s map=%s flips=%d\n",
-		e.opts.Morph, e.opts.MorphEvery, e.morphState(true), e.morphState(false), flips)
+		e.opts.Morph, e.opts.MorphEvery, e.morphState(true), e.morphState(false), e.morphFlips())
 	sb.WriteString(e.morphEdges("set", true))
 	sb.WriteString(e.morphEdges("map", false))
 	return sb.String()

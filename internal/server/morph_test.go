@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,11 +13,11 @@ import (
 
 // TestMorphStatsUnderPhaseShift is the whitebox morph test: a forced
 // phase shift (writes → reads → writes) on a one-shard server with
-// per-batch controller evaluation must walk both adaptive families
-// through their ladders, and STATS must report every edge. The script is
-// fully deterministic: one client, one command per batch, so each
-// round-trip is exactly one controller tick whose window contents are
-// known in advance.
+// per-batch controller evaluation must switch both adaptive families to
+// their read member and back, and STATS must report exactly those edges.
+// The script is fully deterministic: one client, one command per batch,
+// so each round-trip is exactly one controller tick whose window
+// contents are known in advance.
 func TestMorphStatsUnderPhaseShift(t *testing.T) {
 	srv := startServer(t, Options{
 		Shards: 1, Set: "adaptive", Map: "adaptive", Txn: "off",
@@ -24,14 +25,14 @@ func TestMorphStatsUnderPhaseShift(t *testing.T) {
 	})
 	c := dial(t, srv)
 
-	// Write phase: the first quiet window descends each family's boot
-	// rung (striped) to coarse.
+	// Write phase: both families boot on their write member (coarse) and
+	// a write window leaves them there.
 	c.expect(t, "SET 5", "1")
 	c.expect(t, "HSET k 1", "1")
 
-	// Read phase: a pure-read window jumps each family to its
-	// read-optimized member (set: lockfree, map: epoch). These reads ride
-	// the mailbox — coarse has no bypass — and their tick morphs.
+	// Read phase: a pure-read window moves each family to its read
+	// member (set: lockfree, map: epoch). These reads ride the mailbox —
+	// coarse has no bypass — and their tick morphs.
 	c.expect(t, "GET 5", "1")
 	c.expect(t, "HGET k", "1")
 
@@ -41,15 +42,14 @@ func TestMorphStatsUnderPhaseShift(t *testing.T) {
 	c.expect(t, "GET 5", "1")
 	c.expect(t, "HGET k", "1")
 
-	// Write phase: the set descends the ladder one rung per window
-	// (lockfree→refinable→striped→coarse); the map leaves its off-ladder
-	// read member for the saved rung (epoch→coarse) once the window's
-	// read fraction falls below ReadLo. The first window of each family
-	// still holds the bypass read above (frac 1/2), which keeps the map
-	// on epoch for exactly one extra window.
-	c.expect(t, "DEL 9", "0")
-	c.expect(t, "HDEL nope", "0")
-	for i := 0; i < 3; i++ {
+	// Write phase: the regime change costs each family one migration,
+	// straight back to coarse. Every batch ticks both controllers, so
+	// the first DEL closes a set window holding the bypass GET too (read
+	// fraction 1/2, not below ReadLo: stay) and a map window holding
+	// only the bypass HGET (stay); the HDEL then closes a pure-write map
+	// window (epoch→coarse) and the second DEL a pure-write set window
+	// (lockfree→coarse). The remaining writes must not move anything.
+	for i := 0; i < 4; i++ {
 		c.expect(t, "DEL 9", "0")
 		c.expect(t, "HDEL nope", "0")
 	}
@@ -57,24 +57,34 @@ func TestMorphStatsUnderPhaseShift(t *testing.T) {
 	body := readStats(t, c, c.cmd(t, "STATS"))
 	for _, want := range []string{
 		"read-bypass set=adaptive map=adaptive",
-		"morph mode=on every=1 set=adaptive(coarse:1) map=adaptive(coarse:1) flips=8",
-		"morph set=striped→coarse n=2",
-		"morph set=coarse→lockfree n=1",
-		"morph set=lockfree→refinable n=1",
-		"morph set=refinable→striped n=1",
-		"morph map=striped→coarse n=1",
-		"morph map=coarse→epoch n=1",
-		"morph map=epoch→coarse n=1",
-		"op morph.flip count=8",
+		"morph mode=on every=1 set=adaptive(coarse:1) map=adaptive(coarse:1) flips=4",
+		"op morph.flip count=4",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("STATS missing %q:\n%s", want, body)
 		}
 	}
+	// The edge rows, exactly: each has the family's read member at one
+	// end and coarse at the other.
+	var edges []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "morph set=") || strings.HasPrefix(line, "morph map=") {
+			edges = append(edges, line)
+		}
+	}
+	wantEdges := []string{
+		"morph set=coarse→lockfree n=1",
+		"morph set=lockfree→coarse n=1",
+		"morph map=coarse→epoch n=1",
+		"morph map=epoch→coarse n=1",
+	}
+	if !slices.Equal(edges, wantEdges) {
+		t.Errorf("STATS morph edges = %q, want %q", edges, wantEdges)
+	}
 }
 
 // TestMorphOffFreezesBootMember pins the -morph off escape hatch: the
-// adaptive backends boot on striped and never move, whatever the
+// adaptive backends boot on coarse and never move, whatever the
 // workload does.
 func TestMorphOffFreezesBootMember(t *testing.T) {
 	srv := startServer(t, Options{
@@ -90,7 +100,7 @@ func TestMorphOffFreezesBootMember(t *testing.T) {
 	}
 	body := readStats(t, c, c.cmd(t, "STATS"))
 	for _, want := range []string{
-		"morph mode=off every=1 set=adaptive(striped:1) map=adaptive(striped:1) flips=0",
+		"morph mode=off every=1 set=adaptive(coarse:1) map=adaptive(coarse:1) flips=0",
 		"op morph.flip count=0",
 	} {
 		if !strings.Contains(body, want) {
@@ -99,15 +109,11 @@ func TestMorphOffFreezesBootMember(t *testing.T) {
 	}
 }
 
-// TestMorphOptionValidation rejects bad -morph configurations at boot.
+// TestMorphOptionValidation rejects a bad -morph mode at boot.
 func TestMorphOptionValidation(t *testing.T) {
-	for _, opts := range []Options{
-		{Morph: "sometimes"},
-		{MorphReadPct: 101},
-	} {
-		if _, err := New(opts); err == nil {
-			t.Errorf("New(%+v) succeeded, want morph validation error", opts)
-		}
+	opts := Options{Morph: "sometimes"}
+	if _, err := New(opts); err == nil {
+		t.Errorf("New(%+v) succeeded, want morph validation error", opts)
 	}
 }
 
@@ -172,10 +178,7 @@ func testAdaptiveMorphHistory(t *testing.T) {
 			return
 		}
 
-		var flips int64
-		for _, sh := range srv.eng.allShards() {
-			flips += sh.adSet.Flips() + sh.adMap.Flips()
-		}
+		flips := srv.eng.morphFlips()
 		if flips == 0 {
 			t.Fatal("phase shifts produced no morphs; the history proves nothing")
 		}

@@ -2,9 +2,7 @@ package strmap
 
 import (
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
 // ranger is the migration capability the adaptive meta-backend asserts.
@@ -12,13 +10,8 @@ type ranger interface {
 	Range(f func(key string, val int64) bool)
 }
 
-// contender is the contention-signal capability.
-type contender interface {
-	Contention() int64
-}
-
 // hookedMaps builds one instance of every map backend; each must expose
-// both adaptive capabilities.
+// the Range capability.
 func hookedMaps() map[string]Map {
 	return map[string]Map{
 		"coarse":       NewCoarseMap(16),
@@ -38,9 +31,6 @@ func TestRangeEnumeratesAll(t *testing.T) {
 			r, ok := m.(ranger)
 			if !ok {
 				t.Fatalf("%s does not implement Range", name)
-			}
-			if _, ok := m.(contender); !ok {
-				t.Fatalf("%s does not implement Contention", name)
 			}
 			want := map[string]int64{}
 			for i := 0; i < 500; i++ {
@@ -83,56 +73,6 @@ func TestRangeEnumeratesAll(t *testing.T) {
 			// The structure stays writable after Range released its locks.
 			if !m.Set("after-range", 7) {
 				t.Errorf("Set after Range reported overwrite of a fresh key")
-			}
-		})
-	}
-}
-
-// TestContentionCounts pins the counter protocol on the backends whose
-// blocked waiter increments *before* parking (TryLock miss → Add → Lock):
-// a Range callback holds the covering locks, a writer provably blocks
-// (its count appears while it waits), then the callback returns and the
-// writer completes.
-func TestContentionCounts(t *testing.T) {
-	cases := map[string]Map{
-		"coarse":  NewCoarseMap(16),
-		"striped": NewStripedMap(16),
-	}
-	for name, m := range cases {
-		t.Run(name, func(t *testing.T) {
-			m.Set("a", 1)
-			c := m.(contender)
-			if c.Contention() != 0 {
-				t.Fatalf("fresh map reports contention %d", c.Contention())
-			}
-			inRange := make(chan struct{})
-			release := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(2)
-			go func() {
-				defer wg.Done()
-				m.(ranger).Range(func(string, int64) bool {
-					close(inRange)
-					<-release
-					return true
-				})
-			}()
-			<-inRange
-			go func() {
-				defer wg.Done()
-				m.Set("a", 2) // blocks on the lock Range holds
-			}()
-			deadline := time.Now().Add(5 * time.Second)
-			for c.Contention() == 0 {
-				if time.Now().After(deadline) {
-					t.Fatal("blocked writer never counted as contended")
-				}
-				time.Sleep(time.Millisecond)
-			}
-			close(release)
-			wg.Wait()
-			if v, ok := m.Get("a"); !ok || v != 2 {
-				t.Fatalf("Get(a) = %d,%v after contended Set, want 2,true", v, ok)
 			}
 		})
 	}

@@ -1,16 +1,12 @@
 package strmap
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // CoarseMap is the baseline: a single lock serializes everything,
 // including growth — the map rendering of Fig. 13.2.
 type CoarseMap struct {
 	hash  func(string) uint64
 	mu    sync.Mutex
-	cont  atomic.Int64
 	table *chainTable
 }
 
@@ -22,22 +18,10 @@ func NewCoarseMap(capacity int) *CoarseMap {
 	return &CoarseMap{hash: Hash, table: newChainTable(capacity)}
 }
 
-// lock takes the map lock, counting the acquisition as contended when a
-// TryLock probe misses first.
-func (m *CoarseMap) lock() {
-	if !m.mu.TryLock() {
-		m.cont.Add(1)
-		m.mu.Lock()
-	}
-}
-
-// Contention reports lock acquisitions that found the lock held.
-func (m *CoarseMap) Contention() int64 { return m.cont.Load() }
-
 // Set maps key to val, reporting whether the key was absent.
 func (m *CoarseMap) Set(key string, val int64) bool {
 	h := m.hash(key)
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	ok := m.table.set(h, key, val)
 	if ok && m.table.policy() {
@@ -49,7 +33,7 @@ func (m *CoarseMap) Set(key string, val int64) bool {
 // Get returns the value at key.
 func (m *CoarseMap) Get(key string) (int64, bool) {
 	h := m.hash(key)
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.table.get(h, key)
 }
@@ -57,14 +41,14 @@ func (m *CoarseMap) Get(key string) (int64, bool) {
 // Del removes key, reporting whether it was present.
 func (m *CoarseMap) Del(key string) bool {
 	h := m.hash(key)
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.table.del(h, key)
 }
 
 // Range enumerates entries under the map lock until f returns false.
 func (m *CoarseMap) Range(f func(key string, val int64) bool) {
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.table.rangeEntries(f)
 }

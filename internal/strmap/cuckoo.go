@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 )
 
 // CuckooChainMap is the phased concurrent cuckoo map (Fig. 13.21–13.27):
@@ -23,7 +22,6 @@ type CuckooChainMap struct {
 	hash     func(string) uint64
 	locks    [2][]sync.Mutex // fixed stripes, one array per table
 	mu       sync.Mutex      // serializes resizes
-	cont     atomic.Int64    // contended stripe-pair acquisitions
 	capacity int             // guarded by any stripe (readers) / all stripes (resizer)
 	table    [2][][]*node    // probe chains
 }
@@ -71,25 +69,11 @@ func (m *CuckooChainMap) stripe(i int, h uint64) *sync.Mutex {
 }
 
 // acquire locks the two stripes for base hash h in table order
-// (deadlock-free by the fixed order), counting the pair as contended
-// when either TryLock probe misses.
+// (deadlock-free by the fixed order).
 func (m *CuckooChainMap) acquire(h uint64) {
-	contended := false
-	if l := m.stripe(0, h); !l.TryLock() {
-		contended = true
-		l.Lock()
-	}
-	if l := m.stripe(1, h); !l.TryLock() {
-		contended = true
-		l.Lock()
-	}
-	if contended {
-		m.cont.Add(1)
-	}
+	m.stripe(0, h).Lock()
+	m.stripe(1, h).Lock()
 }
-
-// Contention reports stripe-pair acquisitions that found a stripe held.
-func (m *CuckooChainMap) Contention() int64 { return m.cont.Load() }
 
 // Range enumerates entries with the resize lock and every stripe held
 // until f returns false.

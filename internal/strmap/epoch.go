@@ -53,7 +53,6 @@ type EpochMap struct {
 	hash func(string) uint64
 
 	mu    sync.Mutex // writers and growth
-	cont  atomic.Int64
 	table atomic.Pointer[emTable]
 	size  int // entries, writer-owned (read under mu)
 }
@@ -78,24 +77,11 @@ func NewEpochMap(capacity int) *EpochMap {
 // epoch-pin leak tests.
 func (m *EpochMap) Domain() *epoch.Domain { return m.dom }
 
-// lock takes the writer lock, counting the acquisition as contended when
-// a TryLock probe misses first. Readers never touch it, so contention
-// here measures writer/writer collisions only.
-func (m *EpochMap) lock() {
-	if !m.mu.TryLock() {
-		m.cont.Add(1)
-		m.mu.Lock()
-	}
-}
-
-// Contention reports writer-lock acquisitions that found the lock held.
-func (m *EpochMap) Contention() int64 { return m.cont.Load() }
-
 // Range enumerates entries under the writer lock until f returns false.
 // With writers excluded the published chains are frozen, and retired
 // nodes are unreachable from the live table, so the walk needs no pin.
 func (m *EpochMap) Range(f func(key string, val int64) bool) {
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	t := m.table.Load()
 	for i := range t.buckets {
@@ -121,7 +107,7 @@ func (m *EpochMap) node(s *epoch.Slot, h uint64, key string, val int64) *emNode 
 // Set maps key to val, reporting whether the key was absent.
 func (m *EpochMap) Set(key string, val int64) bool {
 	h := m.hash(key)
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.dom.Pin()
 	defer m.dom.Unpin(s)
@@ -172,7 +158,7 @@ func (m *EpochMap) Get(key string) (int64, bool) {
 // Del removes key, reporting whether it was present.
 func (m *EpochMap) Del(key string) bool {
 	h := m.hash(key)
-	m.lock()
+	m.mu.Lock()
 	defer m.mu.Unlock()
 	s := m.dom.Pin()
 	defer m.dom.Unpin(s)

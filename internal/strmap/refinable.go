@@ -19,7 +19,6 @@ type lockArray struct {
 type RefinableMap struct {
 	hash     func(string) uint64
 	resizing atomic.Bool                // the "owner mark": a resize is announced
-	cont     atomic.Int64               // contended acquire rounds
 	locks    atomic.Pointer[lockArray]  // current stripe array
 	table    atomic.Pointer[chainTable] // current bucket table
 }
@@ -37,34 +36,20 @@ func NewRefinableMap(capacity int) *RefinableMap {
 
 // acquire locks the stripe for hash h against the *current* arrays,
 // retrying if a resize was announced or swapped the arrays underneath us.
-// Each round that missed (TryLock failure, resize wait, or a failed
-// validation) counts once toward Contention.
 func (m *RefinableMap) acquire(h uint64) *sync.Mutex {
 	for {
-		contended := false
 		for m.resizing.Load() {
-			contended = true
 			runtime.Gosched() // a resize is announced; stand back
 		}
 		oldLocks := m.locks.Load()
 		l := &oldLocks.locks[int(h&uint64(len(oldLocks.locks)-1))]
-		if !l.TryLock() {
-			contended = true
-			l.Lock()
-		}
+		l.Lock()
 		if !m.resizing.Load() && m.locks.Load() == oldLocks {
-			if contended {
-				m.cont.Add(1)
-			}
 			return l
 		}
 		l.Unlock()
-		m.cont.Add(1)
 	}
 }
-
-// Contention reports acquire rounds that waited or retried.
-func (m *RefinableMap) Contention() int64 { return m.cont.Load() }
 
 // Set maps key to val, reporting whether the key was absent.
 func (m *RefinableMap) Set(key string, val int64) bool {

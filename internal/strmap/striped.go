@@ -1,9 +1,6 @@
 package strmap
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // StripedMap keeps a fixed array of L locks (L = the initial capacity);
 // the stripe covering a key is chosen by the same masked hash bits as its
@@ -12,7 +9,6 @@ import (
 type StripedMap struct {
 	hash  func(string) uint64
 	locks []sync.Mutex
-	cont  atomic.Int64
 	table *chainTable
 }
 
@@ -28,19 +24,12 @@ func NewStripedMap(capacity int) *StripedMap {
 	}
 }
 
-// lockFor locks the stripe covering hash h and returns it for unlocking,
-// counting the acquisition as contended when a TryLock probe misses.
+// lockFor locks the stripe covering hash h and returns it for unlocking.
 func (m *StripedMap) lockFor(h uint64) *sync.Mutex {
 	l := &m.locks[int(h&uint64(len(m.locks)-1))]
-	if !l.TryLock() {
-		m.cont.Add(1)
-		l.Lock()
-	}
+	l.Lock()
 	return l
 }
-
-// Contention reports stripe acquisitions that found the stripe held.
-func (m *StripedMap) Contention() int64 { return m.cont.Load() }
 
 // Set maps key to val, reporting whether the key was absent.
 func (m *StripedMap) Set(key string, val int64) bool {

@@ -36,16 +36,12 @@ type Map interface {
 	Del(key string) bool
 }
 
-// Every map in the package additionally implements two capabilities the
-// adaptive meta-backend discovers by assertion:
+// Every map in the package additionally implements
 //
-//	Contention() int64                       // lock-wait / CAS-retry events so far
 //	Range(f func(key string, val int64) bool) // enumerate entries; stop on false
 //
-// Contention counts are cheap monotone signals (a TryLock miss or an
-// acquire retry costs one atomic add), not precise wait times. Range
-// quiesces the whole structure (all stripes / the writer lock), so it is
-// a migration primitive, not a fast iterator.
+// which quiesces the whole structure (all stripes / the writer lock), so
+// it is a migration primitive, not a fast iterator.
 
 // FNV-1a 64-bit parameters (the classic offset basis and prime).
 const (
