@@ -63,7 +63,7 @@ func drainErr(done chan error) error {
 
 func TestRunServesAndShutsDown(t *testing.T) {
 	addr, done, sig := startMain(t, "-set", "lockfree", "-map", "refinable",
-		"-queue", "recycling", "-counter", "network")
+		"-queue", "recycling", "-counter", "network", "-txn", "off")
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"amp/internal/adaptive"
+	"amp/internal/core"
 	"amp/internal/counting"
 	"amp/internal/hashset"
 	"amp/internal/list"
@@ -47,11 +48,11 @@ type Options struct {
 
 	// Backend names per family; see *Backends() for the valid names.
 	Set            string // default "striped"
-	Map            string // default "striped"
+	Map            string // default "striped"; serves only with Txn "off"
 	Queue          string // default "unbounded"
 	Stack          string // default "treiber"
 	PQueue         string // default "skip"
-	Counter        string // default "combining"
+	Counter        string // default "combining"; serves only with Txn "off"
 	MetricsCounter string // counting backend for metrics; default "cas"
 
 	// ReadBypass controls the wait-free read fast path: "on" (default)
@@ -180,6 +181,16 @@ type pqBackend interface {
 	removeMin() (int64, bool)
 }
 
+// counterBackend adapts the counter family. inc takes one ticket on
+// behalf of shard id and answers its pre-increment value; read answers
+// the number of INCs completed; set overwrites that count (RESTORE, under
+// the full quiesce).
+type counterBackend interface {
+	inc(id core.ThreadID) int64
+	read() int64
+	set(v int64)
+}
+
 // genericQueue serves the queue.Queue implementations that never refuse an
 // enqueue.
 type genericQueue struct{ q queue.Queue[int64] }
@@ -288,6 +299,38 @@ func (o openPQ) removeMin() (int64, bool) {
 	return int64(v), ok
 }
 
+// ticketCounter serves the counting.Counter implementations, which hand
+// out tickets but can be neither read nor set: the adapter keeps the
+// high-water mark of completed INCs for READ, and the offset that
+// re-homes the ticket space after a restore.
+type ticketCounter struct {
+	c    counting.Counter
+	incs atomic.Int64 // completed INCs: highest ticket + 1
+	base atomic.Int64 // INC answers base+ticket; zero until a restore
+}
+
+func (t *ticketCounter) inc(id core.ThreadID) int64 {
+	ticket := t.c.GetAndIncrement(id)
+	for {
+		cur := t.incs.Load()
+		if ticket+1 <= cur || t.incs.CompareAndSwap(cur, ticket+1) {
+			break
+		}
+	}
+	return t.base.Load() + ticket
+}
+func (t *ticketCounter) read() int64 { return t.base.Load() + t.incs.Load() }
+func (t *ticketCounter) set(v int64) { t.base.Store(v - t.incs.Load()) }
+
+// ksCounter serves INC/READ from the transactional keyspace's counter
+// tvar, so they can be staged in a MULTI buffer and still agree with the
+// fast path.
+type ksCounter struct{ ks txn.Keyspace }
+
+func (k ksCounter) inc(core.ThreadID) int64 { return k.ks.Inc() }
+func (k ksCounter) read() int64             { return k.ks.Counter() }
+func (k ksCounter) set(v int64)             { k.ks.SetCounter(v) }
+
 // The list- and skiplist-based structures reserve math.MinInt64 and
 // math.MaxInt64 as ±∞ sentinels, so the protocol rejects the two extreme
 // keys rather than panic.
@@ -295,6 +338,19 @@ const (
 	sentinelGuardMin = list.KeyMin + 1
 	sentinelGuardMax = list.KeyMax - 1
 )
+
+// rangeSet and rangeMap are what the keyed registry rows build: the
+// family's operations plus the quiesced enumeration that the snapshot
+// cut, RESTORE's clear and RESHARD's split walk.
+type rangeSet interface {
+	list.Set
+	Range(f func(x int) bool)
+}
+
+type rangeMap interface {
+	strmap.Map
+	Range(f func(key string, val int64) bool)
+}
 
 // setEntry is one -set registry row: a constructor plus the capability
 // that gates the wait-free read fast path. readBypass asserts that
@@ -307,15 +363,16 @@ const (
 // bypass safety is per-shard and per-moment (the live member decides);
 // the engine consults the shard's container instead of this table.
 type setEntry struct {
-	make       func(o Options) list.Set
+	make       func(o Options) rangeSet
 	readBypass bool
 	adaptive   bool
 }
 
 // mapEntry mirrors setEntry for the -map registry: readBypass asserts
-// Get is safe from any goroutine.
+// Get is safe from any goroutine. With -txn on the engine replaces the
+// resolved row with one whose make returns the shared keyspace.
 type mapEntry struct {
-	make       func(o Options) strmap.Map
+	make       func(o Options) rangeMap
 	readBypass bool
 	adaptive   bool
 }
@@ -330,36 +387,36 @@ func (o Options) morphConfig() adaptive.Config {
 // (defaulted) options.
 var (
 	setBackends = map[string]setEntry{
-		"coarse":    {make: func(o Options) list.Set { return hashset.NewCoarseHashSet(o.SetCapacity) }},
-		"striped":   {make: func(o Options) list.Set { return hashset.NewStripedHashSet(o.SetCapacity) }},
-		"refinable": {make: func(o Options) list.Set { return hashset.NewRefinableHashSet(o.SetCapacity) }},
-		"lockfree":  {make: func(o Options) list.Set { return hashset.NewLockFreeHashSet() }, readBypass: true},
-		"cuckoo":    {make: func(o Options) list.Set { return hashset.NewStripedCuckooHashSet(o.SetCapacity) }},
+		"coarse":    {make: func(o Options) rangeSet { return hashset.NewCoarseHashSet(o.SetCapacity) }},
+		"striped":   {make: func(o Options) rangeSet { return hashset.NewStripedHashSet(o.SetCapacity) }},
+		"refinable": {make: func(o Options) rangeSet { return hashset.NewRefinableHashSet(o.SetCapacity) }},
+		"lockfree":  {make: func(o Options) rangeSet { return hashset.NewLockFreeHashSet() }, readBypass: true},
+		"cuckoo":    {make: func(o Options) rangeSet { return hashset.NewStripedCuckooHashSet(o.SetCapacity) }},
 		// Epoch-recycled ordered sets: allocation-free once warm (see
 		// internal/epoch). Ordered-set semantics instead of hashing.
-		"list-epoch": {make: func(o Options) list.Set { return list.NewEpochList() }, readBypass: true},
-		"skip-epoch": {make: func(o Options) list.Set { return skiplist.NewEpochSkipList() }, readBypass: true},
+		"list-epoch": {make: func(o Options) rangeSet { return list.NewEpochList() }, readBypass: true},
+		"skip-epoch": {make: func(o Options) rangeSet { return skiplist.NewEpochSkipList() }, readBypass: true},
 		// Self-tuning meta-backend (internal/adaptive): starts coarse and
 		// switches to the lock-free set while the mix is read-heavy;
 		// reads take the wait-free bypass whenever that is the live member.
-		"adaptive": {make: func(o Options) list.Set { return adaptive.NewSet(o.SetCapacity, o.morphConfig()) },
+		"adaptive": {make: func(o Options) rangeSet { return adaptive.NewSet(o.SetCapacity, o.morphConfig()) },
 			adaptive: true},
 	}
 	// The map family serves HSET/HGET/HDEL: per-shard string-keyed
 	// dictionaries with open chaining (internal/strmap), mirroring the
 	// set registry's synchronization spectrum.
 	mapBackends = map[string]mapEntry{
-		"coarse":       {make: func(o Options) strmap.Map { return strmap.NewCoarseMap(o.SetCapacity) }},
-		"striped":      {make: func(o Options) strmap.Map { return strmap.NewStripedMap(o.SetCapacity) }},
-		"refinable":    {make: func(o Options) strmap.Map { return strmap.NewRefinableMap(o.SetCapacity) }},
-		"cuckoo-chain": {make: func(o Options) strmap.Map { return strmap.NewCuckooChainMap(o.SetCapacity) }},
+		"coarse":       {make: func(o Options) rangeMap { return strmap.NewCoarseMap(o.SetCapacity) }},
+		"striped":      {make: func(o Options) rangeMap { return strmap.NewStripedMap(o.SetCapacity) }},
+		"refinable":    {make: func(o Options) rangeMap { return strmap.NewRefinableMap(o.SetCapacity) }},
+		"cuckoo-chain": {make: func(o Options) rangeMap { return strmap.NewCuckooChainMap(o.SetCapacity) }},
 		// RCU-style epoch-published table: mutex writers, lock-free
 		// epoch-pinned readers — the map family's bypass-capable member.
-		"epoch": {make: func(o Options) strmap.Map { return strmap.NewEpochMap(o.SetCapacity) }, readBypass: true},
+		"epoch": {make: func(o Options) rangeMap { return strmap.NewEpochMap(o.SetCapacity) }, readBypass: true},
 		// Self-tuning meta-backend: starts coarse and switches to the
 		// epoch table while the mix is read-heavy, turning the wait-free
 		// HGET bypass on live.
-		"adaptive": {make: func(o Options) strmap.Map { return adaptive.NewMap(o.SetCapacity, o.morphConfig()) },
+		"adaptive": {make: func(o Options) rangeMap { return adaptive.NewMap(o.SetCapacity, o.morphConfig()) },
 			adaptive: true},
 	}
 	queueBackends = map[string]func(o Options) queueBackend{

@@ -1,8 +1,9 @@
 // The data plane: N single-goroutine shards in front of the shared
 // concurrent structures. Keyed commands (the set and map families) hash
-// to a shard that owns a private hash set and string dictionary, so
-// per-key traffic is contention-local by construction — partitioning
-// first, as McKenney puts it. Unkeyed
+// to a shard that owns a private hash set and a string dictionary —
+// private too under -txn off, the one transactional keyspace shared by
+// every shard otherwise — so per-key traffic is contention-local by
+// construction: partitioning first, as McKenney puts it. Unkeyed
 // commands (stack, queue, counter, priority queue) are spread round-robin
 // over the shards but execute against shared structures; the shards then
 // serve as a bounded thread set, which is exactly what the combining tree
@@ -28,10 +29,8 @@ import (
 	"amp/internal/adaptive"
 	"amp/internal/core"
 	"amp/internal/counting"
-	"amp/internal/list"
 	"amp/internal/mailbox"
 	"amp/internal/metrics"
-	"amp/internal/strmap"
 	"amp/internal/txn"
 )
 
@@ -127,16 +126,25 @@ func (r *router) distinct() []*shard {
 	return out
 }
 
-// shard owns a private set instance, a private string-keyed dictionary,
-// and an MPSC mailbox drained by whoever holds the combiner lock. Map
-// commands route by the FNV-1a hash of their key (Command.ShardKey),
-// then resolve collisions inside the shard's dictionary by full-string
-// chaining.
+// shard owns a private set instance, a string-keyed dictionary, and an
+// MPSC mailbox drained by whoever holds the combiner lock. Map commands
+// route by the FNV-1a hash of their key (Command.ShardKey), then resolve
+// collisions inside the dictionary by full-string chaining. The
+// dictionary is whatever the resolved map row builds: a private table
+// per shard, or — with the txn engine on — the one keyspace every shard
+// shares, the same tvars EXEC commits against, which is what keeps plain
+// map traffic and transactions mutually linearizable.
 type shard struct {
 	id   core.ThreadID
-	set  list.Set
-	dict strmap.Map
+	set  rangeSet
+	dict rangeMap
 	mbox *mailbox.Mailbox[*batch]
+
+	// incr serves HINCR: the dictionary's own atomic Incr when it has one
+	// (the keyspace, which EXEC mutates from connection goroutines), else
+	// Get-then-Set, atomic per key because HINCR is keyed and a private
+	// dictionary has no writer but this shard's combiner.
+	incr func(key string, delta int64) int64
 
 	// adSet/adMap alias set/dict when the family runs the adaptive
 	// meta-backend (nil otherwise): the engine consults them for the
@@ -201,11 +209,6 @@ type engine struct {
 	// the commit, never while waiting on a shard, so the order is safe.
 	ksGate sync.RWMutex
 
-	// ctrBase offsets the counter family after a restore (without the
-	// transactional keyspace, the counting backends cannot be set): INC
-	// answers ctrBase+ticket, READ answers ctrBase+incs.
-	ctrBase atomic.Int64
-
 	// Snapshot bookkeeping: background BGSAVE writers (stop waits for
 	// them), completed and failed saves, and the last save's coarse stamp
 	// and size.
@@ -215,16 +218,17 @@ type engine struct {
 	snapLast  atomic.Int64        // coarse-clock stamp of the last completed save
 	snapBytes atomic.Int64        // size of the last completed save
 
-	// restoreGen is a seqlock-style generation for RESTORE's mutation
-	// phase: loadSnapshot increments it to odd before the first clear and
-	// back to even after the last insert, both while holding the full
-	// quiesce. Bypass readers (readLocal) take no lock, so they bracket
-	// each structure access with restoreGen loads and retry through the
-	// mailbox — which blocks behind the quiesce — whenever a restore
-	// overlapped the access. A plain flag would not do: a reader could
-	// observe torn mid-restore state, then find the flag already cleared;
-	// the generation comparison catches that window.
-	restoreGen atomic.Uint64
+	// topoGen is the reconfiguration seqlock: RESTORE and RESHARD — the
+	// two paths that clear, refill or re-home keyed state under readers
+	// that take no lock — bump it to odd before their first mutation and
+	// back to even after their last, both under reconfigMu. Bypass readers
+	// (readLocal) sample it before resolving a shard and re-check it after
+	// the structure access, retrying through the mailbox — which waits out
+	// the reconfiguration's combiner locks — on any overlap (engine.torn).
+	// A plain flag would not do: a reader could observe torn state, then
+	// find the flag already cleared; the generation comparison catches
+	// that window.
+	topoGen atomic.Uint64
 
 	// setEnt/mapEnt are the resolved registry rows, kept so a reshard can
 	// construct new shards with the configured backends.
@@ -234,9 +238,8 @@ type engine struct {
 	queue      queueBackend
 	stack      stackBackend
 	pq         pqBackend
-	counter    counting.Counter
-	incs       atomic.Int64 // completed INCs: highest ticket + 1
-	ks         txn.Keyspace // transactional keyspace; nil when Txn "off"
+	counter    counterBackend
+	ks         txn.Keyspace // the txn engine (EXEC, TXSTATS); nil when Txn "off"
 	rr         atomic.Uint32
 	metrics    *metrics.Registry
 	ext        metrics.Externals // closure-backed counters (bypass, txn)
@@ -259,10 +262,9 @@ type engine struct {
 	coarse atomic.Int64
 
 	// Wait-free read bypass state. bypassSet/bypassMap record whether
-	// GET/HGET may execute on the calling (connection) goroutine —
-	// registry capability ANDed with Options.ReadBypass, plus the
-	// keyspace override for HGET (tvar reads are safe from anywhere).
-	// The counters split served reads by path for STATS.
+	// GET/HGET may execute on the calling (connection) goroutine: the
+	// resolved row's capability ANDed with Options.ReadBypass. The
+	// counters split served reads by path for STATS.
 	bypassSet   bool
 	bypassMap   bool
 	readBypass  metrics.FlatCounter // reads served on connection goroutines
@@ -288,11 +290,11 @@ type engine struct {
 	// use to wedge a shard mid-drain.
 	applyHook func(Command)
 
-	// restoreHook, when set (tests only), runs inside loadSnapshot's
-	// mutation phase, between the clear and the insert — the seam the
-	// torn-restore bypass test uses to wedge a restore at its most
-	// inconsistent point.
-	restoreHook func()
+	// reconfigHook, when set (tests only), runs inside each topoGen
+	// mutation phase at its most inconsistent point — loadSnapshot between
+	// the clear and the insert, reshard between a slot flip and the
+	// movers' deletion — the seam the refused-bypass test wedges.
+	reconfigHook func()
 }
 
 // newEngine builds the structures and starts one goroutine per shard.
@@ -336,6 +338,18 @@ func newEngine(o Options) (*engine, error) {
 		return nil, err
 	}
 
+	// One storage plane: with the txn engine on, the keyspace is the map
+	// row (every shard's dictionary; tvar reads are goroutine-agnostic,
+	// hence readBypass) and the counter, and -map/-counter name nothing.
+	var counter counterBackend
+	if ks != nil {
+		mapEnt = mapEntry{make: func(Options) rangeMap { return ks }, readBypass: true}
+		counter = ksCounter{ks}
+		o.Map, o.Counter = "keyspace", "keyspace"
+	} else {
+		counter = &ticketCounter{c: newCounter(o)}
+	}
+
 	factory := func() counting.Counter { return newMetricsCounter(o) }
 	e := &engine{
 		opts:       o,
@@ -344,22 +358,20 @@ func newEngine(o Options) (*engine, error) {
 		queue:      newQueue(o),
 		stack:      newStack(o),
 		pq:         newPQ(o),
-		counter:    newCounter(o),
+		counter:    counter,
 		ks:         ks,
 		metrics:    metrics.NewRegistry(factory, allMetricNames()...),
 		batchSizes: metrics.NewSizeHistogram(factory),
 		now:        o.clock,
 		epoch:      o.clock(),
 	}
-	// HGET bypass: safe whenever the keyspace serves it (tvar reads are
-	// goroutine-agnostic) or the map backend advertises the capability.
-	// For the adaptive backends the capability is dynamic — it holds
-	// exactly while a shard's live member is its read-optimized one — so
-	// canBypass consults the shard instead of a static flag.
+	// For the adaptive backends the bypass capability is dynamic — it
+	// holds exactly while a shard's live member is its read-optimized one
+	// — so canBypass consults the shard instead of a static flag.
 	e.bypassSet = o.ReadBypass == "on" && setEnt.readBypass
-	e.bypassMap = o.ReadBypass == "on" && (ks != nil || mapEnt.readBypass)
+	e.bypassMap = o.ReadBypass == "on" && mapEnt.readBypass
 	e.bypassDynSet = o.ReadBypass == "on" && setEnt.adaptive
-	e.bypassDynMap = o.ReadBypass == "on" && mapEnt.adaptive && ks == nil
+	e.bypassDynMap = o.ReadBypass == "on" && mapEnt.adaptive
 	e.morphOn = o.Morph == "on" && (setEnt.adaptive || mapEnt.adaptive)
 	e.ext = metrics.Externals{
 		e.readBypass.External("read.bypass"),
@@ -428,6 +440,16 @@ func (e *engine) newShard(id core.ThreadID) *shard {
 	if e.mapEnt.adaptive {
 		s.adMap = s.dict.(*adaptive.Map)
 	}
+	if in, ok := s.dict.(interface{ Incr(string, int64) int64 }); ok {
+		s.incr = in.Incr
+	} else {
+		s.incr = func(key string, delta int64) int64 {
+			v, _ := s.dict.Get(key) // absent reads as 0
+			v += delta
+			s.dict.Set(key, v)
+			return v
+		}
+	}
 	return s
 }
 
@@ -484,9 +506,9 @@ func (e *engine) abort() {
 
 // canBypass reports whether cmd may skip the shard mailbox and execute
 // on the calling goroutine. Only read-pure keyed ops qualify, and only
-// when the serving backend's reads are goroutine-agnostic (registry
-// capability, or the transactional keyspace for HGET). Callers inside a
-// MULTI window never ask: staged reads ride the tvar commit protocol.
+// when the serving backend's reads are goroutine-agnostic (the resolved
+// row's capability). Callers inside a MULTI window never ask: staged
+// reads ride the tvar commit protocol.
 //
 // On the adaptive backends the answer is per-shard and per-moment: the
 // bypass holds exactly while the key's shard is on its read-optimized
@@ -518,28 +540,18 @@ func (e *engine) canBypass(cmd Command) bool {
 	return false
 }
 
-// moved revalidates a bypass read's route after the structure access: it
-// reports whether the slot the reader resolved no longer feeds the shard
-// it read. A reshard deletes migrated keys from the source shard only
-// after flipping the slot to the split half, and the deletion is what a
-// too-late reader can observe — but observing it means the reader's
-// structure access synchronized with the migrator (the backends publish
-// with release stores), so this re-load is guaranteed to see the flip
-// and the read retries through the mailbox instead of serving a miss.
-func (e *engine) moved(rt *router, si int, s *shard) bool {
-	cur := e.router.Load()
-	return cur != rt || cur.shard(si) != s
-}
-
-// restoreTorn reports whether a RESTORE's mutation phase overlapped a
-// bypass read: g is the restoreGen sample the reader took before its
-// structure access. An odd sample means the access started mid-restore;
-// a changed value means a restore began (and possibly finished) during
-// the access. Either way the read may have observed the half-restored
-// keyspace and must retry through the mailbox, where it parks behind
-// the restore's quiesce.
-func (e *engine) restoreTorn(g uint64) bool {
-	return g&1 != 0 || e.restoreGen.Load() != g
+// torn reports whether a reconfiguration's mutation phase overlapped a
+// bypass read: g is the topoGen sample the reader took before resolving
+// its shard. An odd sample means the read started mid-RESTORE or
+// mid-RESHARD; a changed value means one began (and possibly finished)
+// during it. Either way the read may have observed a half-restored
+// keyspace, or a source shard whose movers were already deleted — and
+// observing such a deletion means the structure access synchronized with
+// the mutator (the backends publish with release stores), whose odd bump
+// came first, so this re-load is guaranteed to see it. The read must
+// retry through the mailbox.
+func (e *engine) torn(g uint64) bool {
+	return g&1 != 0 || e.topoGen.Load() != g
 }
 
 // readLocal serves one bypass-eligible read on the calling goroutine:
@@ -558,72 +570,48 @@ func (e *engine) restoreTorn(g uint64) bool {
 // never overtakes this connection's earlier writes.
 //
 // served=false means an adaptive shard morphed off its read-optimized
-// member between canBypass and here, a reshard moved the key's slot off
-// the shard mid-read (engine.moved), or a RESTORE's mutation phase
-// overlapped the access (engine.restoreTorn); the command was not
-// executed and must ride the mailbox instead.
+// member between canBypass and here, or a RESTORE or RESHARD overlapped
+// the read (engine.torn); the command was not executed and must ride the
+// mailbox instead.
 func (e *engine) readLocal(cmd Command) (reply, bool) {
-	// Sample the restore generation before touching any structure; the
-	// post-access restoreTorn check rejects reads that raced a RESTORE.
-	g := e.restoreGen.Load()
+	// Sample the generation before the router: a reshard that completes
+	// in between must be caught too, or the read could resolve a source
+	// shard through the superseded router after its movers were deleted.
+	g := e.topoGen.Load()
+	rt := e.router.Load()
+	s := rt.shard(keyShard(cmd.ShardKey(), rt.n()))
+	var r reply
+	served := true
 	switch cmd.Op {
 	case OpGet:
 		if cmd.Arg < sentinelGuardMin || cmd.Arg > sentinelGuardMax {
 			e.readBypass.Inc()
 			return errReply("key %d is reserved", cmd.Arg), true
 		}
-		rt := e.router.Load()
-		si := keyShard(cmd.ShardKey(), rt.n())
-		s := rt.shard(si)
 		var member bool
 		if s.adSet != nil {
-			var served bool
 			member, served = s.adSet.TryContains(int(cmd.Arg))
-			if !served {
-				return reply{}, false
-			}
 		} else {
 			member = s.set.Contains(int(cmd.Arg))
 		}
-		if e.moved(rt, si, s) || e.restoreTorn(g) {
-			return reply{}, false
-		}
-		e.readBypass.Inc()
-		return reply{status: stInt, val: boolInt(member)}, true
+		r = reply{status: stInt, val: boolInt(member)}
 	case OpHGet:
-		if e.ks != nil {
-			// With transactions on, the bypass reads the same committed
-			// tvar state EXEC publishes — never the per-shard dictionary
-			// (and the keyspace is global, so resharding cannot move it —
-			// but a RESTORE clears and refills it, hence the torn check).
-			v, ok := e.ks.Get(cmd.Key)
-			if e.restoreTorn(g) {
-				return reply{}, false
-			}
-			e.readBypass.Inc()
-			return valueReply(v, ok), true
-		}
-		rt := e.router.Load()
-		si := keyShard(cmd.ShardKey(), rt.n())
-		s := rt.shard(si)
 		var v int64
 		var ok bool
 		if s.adMap != nil {
-			var served bool
 			v, ok, served = s.adMap.TryGet(cmd.Key)
-			if !served {
-				return reply{}, false
-			}
 		} else {
 			v, ok = s.dict.Get(cmd.Key)
 		}
-		if e.moved(rt, si, s) || e.restoreTorn(g) {
-			return reply{}, false
-		}
-		e.readBypass.Inc()
-		return valueReply(v, ok), true
+		r = valueReply(v, ok)
+	default:
+		return errReply("cannot bypass %s", cmd.Op), true
 	}
-	return errReply("cannot bypass %s", cmd.Op), true
+	if !served || e.torn(g) {
+		return reply{}, false
+	}
+	e.readBypass.Inc()
+	return r, true
 }
 
 // do routes one command to its shard and waits for the reply.
@@ -924,9 +912,9 @@ func (e *engine) morphFlips() int64 {
 	return flips
 }
 
-// execute applies one command against the shard's set or the shared
-// structures. It runs under the shard's combiner lock, so s.id is a
-// valid dense ThreadID for the width-bounded counters.
+// execute applies one command against the shard's set and dictionary or
+// the shared structures. It runs under the shard's combiner lock, so
+// s.id is a valid dense ThreadID for the width-bounded counters.
 func (e *engine) execute(s *shard, cmd Command) reply {
 	if e.applyHook != nil {
 		e.applyHook(cmd)
@@ -951,36 +939,14 @@ func (e *engine) execute(s *shard, cmd Command) reply {
 		}
 		return reply{status: stInt, val: boolInt(changed)}
 
-	// The string-map family: through the transactional keyspace when the
-	// txn engine is on — the same tvars EXEC commits against, which is
-	// what keeps plain map traffic and transactions mutually
-	// linearizable — and through the shard's dictionary otherwise.
 	case OpHSet:
-		if e.ks != nil {
-			return reply{status: stInt, val: boolInt(e.ks.Set(cmd.Key, cmd.Arg))}
-		}
 		return reply{status: stInt, val: boolInt(s.dict.Set(cmd.Key, cmd.Arg))}
 	case OpHGet:
-		if e.ks != nil {
-			return valueReply(e.ks.Get(cmd.Key))
-		}
 		return valueReply(s.dict.Get(cmd.Key))
 	case OpHDel:
-		if e.ks != nil {
-			return reply{status: stInt, val: boolInt(e.ks.Del(cmd.Key))}
-		}
 		return reply{status: stInt, val: boolInt(s.dict.Del(cmd.Key))}
 	case OpHIncr:
-		if e.ks != nil {
-			return reply{status: stInt, val: e.ks.Incr(cmd.Key, cmd.Arg)}
-		}
-		// Without the keyspace, read-modify-write is still atomic per
-		// key: HINCR is keyed, so every command for this key executes on
-		// this shard goroutine against the shard-private dictionary.
-		v, _ := s.dict.Get(cmd.Key) // absent reads as 0
-		v += cmd.Arg
-		s.dict.Set(cmd.Key, v)
-		return reply{status: stInt, val: v}
+		return reply{status: stInt, val: s.incr(cmd.Key, cmd.Arg)}
 
 	case OpPush:
 		e.stack.push(cmd.Arg)
@@ -998,29 +964,10 @@ func (e *engine) execute(s *shard, cmd Command) reply {
 	case OpDeq:
 		return valueReply(e.queue.deq())
 
-	// The counter family joins the keyspace when the txn engine is on, so
-	// INC/READ can be staged in a MULTI buffer and still agree with the
-	// fast path; otherwise the configured counting backend serves it.
 	case OpInc:
-		if e.ks != nil {
-			return reply{status: stInt, val: e.ks.Inc()}
-		}
-		ticket := e.counter.GetAndIncrement(s.id)
-		for {
-			cur := e.incs.Load()
-			if ticket+1 <= cur || e.incs.CompareAndSwap(cur, ticket+1) {
-				break
-			}
-		}
-		// ctrBase re-homes the ticket space after a snapshot restore (the
-		// counting backends cannot be set to an arbitrary value); zero
-		// until a RESTORE lands.
-		return reply{status: stInt, val: e.ctrBase.Load() + ticket}
+		return reply{status: stInt, val: e.counter.inc(s.id)}
 	case OpRead:
-		if e.ks != nil {
-			return reply{status: stInt, val: e.ks.Counter()}
-		}
-		return reply{status: stInt, val: e.ctrBase.Load() + e.incs.Load()}
+		return reply{status: stInt, val: e.counter.read()}
 
 	case OpPQAdd:
 		if err := e.pq.add(cmd.Arg); err == errFull {

@@ -57,14 +57,15 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		opts:  opts,
+		opts:  eng.opts,
 		eng:   eng,
 		conns: make(map[net.Conn]struct{}),
 		done:  make(chan struct{}),
 	}, nil
 }
 
-// Options reports the defaulted configuration in effect.
+// Options reports the defaulted configuration in effect; with the txn
+// engine on, Map and Counter both read "keyspace", the structure serving.
 func (s *Server) Options() Options { return s.opts }
 
 // Stats returns the current per-op metrics snapshot.

@@ -403,7 +403,7 @@ func TestStatsCounts(t *testing.T) {
 	body := readStats(t, c, c.cmd(t, "STATS"))
 	for _, want := range []string{
 		"shards 2",
-		"backend set=striped map=striped queue=unbounded stack=treiber pqueue=skip counter=combining",
+		"backend set=striped map=keyspace queue=unbounded stack=treiber pqueue=skip counter=keyspace",
 		"read-bypass set=off map=on",
 		"op set.add count=2",
 		"op set.contains count=1",

@@ -20,6 +20,14 @@
 // under a superseded router are detected by the combiner's staleness
 // check and replayed through the current router (engine.redispatch),
 // so no command is lost, duplicated, or executed against a stale home.
+// A dictionary the shards share (the keyspace, with the txn engine on)
+// has no per-shard home: reshard leaves it alone, and collect and
+// loadSnapshot visit it once (dicts).
+//
+// RESTORE and RESHARD mutate keyed state under wait-free bypass readers,
+// which hold no lock; both bracket their mutation phase with the
+// engine.topoGen seqlock, and readLocal refuses any read that overlapped
+// one.
 package server
 
 import (
@@ -42,16 +50,17 @@ func (e *engine) snapPath() string {
 	return filepath.Join(e.opts.SnapshotDir, snapFile)
 }
 
-// setRanger / mapRanger are the iteration capabilities collect needs
-// from the per-shard structures. Every registered backend implements
-// them; the assertion failure path survives so a future backend without
-// iteration degrades to an ERR reply instead of a panic.
-type setRanger interface {
-	Range(f func(x int) bool)
-}
-
-type mapRanger interface {
-	Range(f func(key string, val int64) bool)
+// dicts returns the shards' distinct dictionaries. The shards either
+// own one each or all share the keyspace, so comparing against the first
+// is the whole dedup.
+func dicts(shards []*shard) []rangeMap {
+	out := make([]rangeMap, 0, len(shards))
+	for _, s := range shards {
+		if len(out) == 0 || s.dict != out[0] {
+			out = append(out, s.dict)
+		}
+	}
+	return out
 }
 
 // quiesce freezes the data plane: every shard combiner acquired in
@@ -93,37 +102,21 @@ func (e *engine) collect(shards []*shard) (*snapshot.State, error) {
 	st := &snapshot.State{Shards: int64(e.router.Load().n())}
 
 	for _, s := range shards {
-		sr, ok := s.set.(setRanger)
-		if !ok {
-			return nil, fmt.Errorf("set backend %q does not support snapshot iteration", e.opts.Set)
-		}
-		sr.Range(func(x int) bool {
+		s.set.Range(func(x int) bool {
 			st.Set = append(st.Set, int64(x))
 			return true
 		})
 	}
 	sort.Slice(st.Set, func(i, j int) bool { return st.Set[i] < st.Set[j] })
 
-	if e.ks != nil {
-		e.ks.Range(func(k string, v int64) bool {
+	for _, d := range dicts(shards) {
+		d.Range(func(k string, v int64) bool {
 			st.Map = append(st.Map, snapshot.Entry{Key: k, Val: v})
 			return true
 		})
-		st.Counter = e.ks.Counter()
-	} else {
-		for _, s := range shards {
-			mr, ok := s.dict.(mapRanger)
-			if !ok {
-				return nil, fmt.Errorf("map backend %q does not support snapshot iteration", e.opts.Map)
-			}
-			mr.Range(func(k string, v int64) bool {
-				st.Map = append(st.Map, snapshot.Entry{Key: k, Val: v})
-				return true
-			})
-		}
-		st.Counter = e.ctrBase.Load() + e.incs.Load()
 	}
 	sort.Slice(st.Map, func(i, j int) bool { return st.Map[i].Key < st.Map[j].Key })
+	st.Counter = e.counter.read()
 
 	// The unkeyed families have no iterators — their structures are
 	// strictly queue-shaped — so collect drains and refills them. Safe
@@ -254,7 +247,7 @@ func (e *engine) bgsave() reply {
 // Mailbox and EXEC traffic cannot observe the half-restored keyspace
 // (the quiesce holds every combiner lock and the ksGate), and neither
 // can the wait-free read bypass: the mutation phase is bracketed by
-// restoreGen increments, and readLocal re-checks the generation after
+// topoGen increments, and readLocal re-checks the generation after
 // every lock-free structure access, retrying through the mailbox on
 // overlap.
 func (e *engine) loadSnapshot(st *snapshot.State) error {
@@ -290,48 +283,29 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 	shards := e.quiesce()
 	defer e.release(shards)
 
-	// Last refusal point: the keyed backends must be iterable to clear
-	// (every shard runs the same backend, so shard 0 answers for all).
-	if _, ok := shards[0].set.(setRanger); !ok {
-		return fmt.Errorf("set backend %q does not support snapshot iteration", e.opts.Set)
-	}
-	if e.ks == nil {
-		if _, ok := shards[0].dict.(mapRanger); !ok {
-			return fmt.Errorf("map backend %q does not support snapshot iteration", e.opts.Map)
-		}
-	}
-
 	// Mutation phase: no failure paths from here on. The odd generation
-	// sends concurrent bypass reads to the mailbox (engine.restoreGen).
-	e.restoreGen.Add(1)
-	defer e.restoreGen.Add(1) // even again before the quiesce releases
+	// sends concurrent bypass reads to the mailbox (engine.topoGen).
+	e.topoGen.Add(1)
+	defer e.topoGen.Add(1) // even again before the quiesce releases
 
 	// Clear: collect keys first, then delete (no mutation mid-Range).
 	for _, s := range shards {
 		var keys []int
-		s.set.(setRanger).Range(func(x int) bool { keys = append(keys, x); return true })
+		s.set.Range(func(x int) bool { keys = append(keys, x); return true })
 		for _, x := range keys {
 			s.set.Remove(x)
 		}
 	}
-	if e.ks != nil {
+	for _, d := range dicts(shards) {
 		var keys []string
-		e.ks.Range(func(k string, v int64) bool { keys = append(keys, k); return true })
+		d.Range(func(k string, v int64) bool { keys = append(keys, k); return true })
 		for _, k := range keys {
-			e.ks.Del(k)
-		}
-	} else {
-		for _, s := range shards {
-			var keys []string
-			s.dict.(mapRanger).Range(func(k string, v int64) bool { keys = append(keys, k); return true })
-			for _, k := range keys {
-				s.dict.Del(k)
-			}
+			d.Del(k)
 		}
 	}
 
-	if e.restoreHook != nil {
-		e.restoreHook() // tests: wedge between clear and insert
+	if e.reconfigHook != nil {
+		e.reconfigHook() // tests: wedge between clear and insert
 	}
 
 	// Insert, routing keyed state through the live router.
@@ -339,20 +313,10 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 	for _, x := range st.Set {
 		rt.shard(keyShard(x, rt.n())).set.Add(int(x))
 	}
-	if e.ks != nil {
-		for _, ent := range st.Map {
-			e.ks.Set(ent.Key, ent.Val)
-		}
-		e.ks.SetCounter(st.Counter)
-	} else {
-		for _, ent := range st.Map {
-			rt.shard(keyShard(int64(strmap.Hash(ent.Key)), rt.n())).dict.Set(ent.Key, ent.Val)
-		}
-		// Re-home the ticket space: READ answers ctrBase+incs, so after
-		// this store it reads exactly st.Counter and future INCs continue
-		// from there.
-		e.ctrBase.Store(st.Counter - e.incs.Load())
+	for _, ent := range st.Map {
+		rt.shard(keyShard(int64(strmap.Hash(ent.Key)), rt.n())).dict.Set(ent.Key, ent.Val)
 	}
+	e.counter.set(st.Counter)
 
 	// The unkeyed families swap wholesale to the pre-filled scratch
 	// structures. Safe under the quiesce: these fields are only read by
@@ -398,6 +362,12 @@ func (e *engine) reshard(n int) error {
 		return fmt.Errorf("reshard target %d exceeds -max-shards %d", n, e.opts.MaxShards)
 	}
 
+	// Mutation phase, bracketed like loadSnapshot's: a bypass read that
+	// overlaps any of it could resolve a source shard whose movers are
+	// already gone, so all of them ride the mailbox until the last split.
+	e.topoGen.Add(1)
+	defer e.topoGen.Add(1)
+
 	// Phase A: publish the doubled router with every new slot aliasing
 	// its source shard. Routing under it is correct immediately — slot
 	// i and slot i+N resolve to the shard that owns both key ranges —
@@ -425,13 +395,8 @@ func (e *engine) reshard(n int) error {
 		src.comb.Lock()
 		e.combine(src)
 
-		sr, ok := src.set.(setRanger)
-		if !ok {
-			src.comb.Unlock()
-			return fmt.Errorf("set backend %q does not support resharding", e.opts.Set)
-		}
 		var movedSet []int
-		sr.Range(func(x int) bool {
+		src.set.Range(func(x int) bool {
 			if keyShard(int64(x), n) == half+i {
 				movedSet = append(movedSet, x)
 			}
@@ -443,13 +408,8 @@ func (e *engine) reshard(n int) error {
 
 		var movedKeys []string
 		var movedVals []int64
-		if e.ks == nil { // with the keyspace on, shard dicts are unused
-			mr, ok := src.dict.(mapRanger)
-			if !ok {
-				src.comb.Unlock()
-				return fmt.Errorf("map backend %q does not support resharding", e.opts.Map)
-			}
-			mr.Range(func(k string, v int64) bool {
+		if ns.dict != src.dict { // a shared dictionary has no per-shard home to move
+			src.dict.Range(func(k string, v int64) bool {
 				if keyShard(int64(strmap.Hash(k)), n) == half+i {
 					movedKeys = append(movedKeys, k)
 					movedVals = append(movedVals, v)
@@ -467,6 +427,9 @@ func (e *engine) reshard(n int) error {
 		}
 		go e.serve(ns)
 		nr.slots[half+i].Store(ns)
+		if e.reconfigHook != nil {
+			e.reconfigHook() // tests: wedge between the flip and the deletion
+		}
 
 		for _, x := range movedSet {
 			src.set.Remove(x)

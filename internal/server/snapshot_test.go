@@ -441,43 +441,117 @@ func TestReshardValidation(t *testing.T) {
 // TestSaveRestoreServer saves one server's state and restores it into a
 // second live server with a different shard count: the restored state
 // must equal the snapshot point, not include post-save mutations, and
-// the counter must continue from its saved value.
+// the counter must continue from its saved value — on the keyspace and on
+// every -counter backend, into a destination whose counter already took
+// tickets of its own (the restore overwrites the count, it does not add).
 func TestSaveRestoreServer(t *testing.T) {
-	dir := t.TempDir()
-	src := startServer(t, Options{Shards: 4, SnapshotDir: dir})
-	c := dial(t, src)
-
-	c.expect(t, "SET 7", "1")
-	c.expect(t, "SET 99", "1")
-	c.expect(t, "HSET user:1 41", "1")
-	c.expect(t, "ENQ 5", "OK")
-	c.expect(t, "ENQ 6", "OK")
-	c.expect(t, "PUSH 8", "OK")
-	c.expect(t, "PQADD 3", "OK")
-	c.expect(t, "INC", "0")
-	c.expect(t, "INC", "1")
-	c.expect(t, "SAVE", "OK")
-	// Mutations after the save must not be in the snapshot.
-	c.expect(t, "SET 1000", "1")
-	c.expect(t, "DEL 7", "1")
-	c.expect(t, "INC", "2")
-
-	dst := startServer(t, Options{Shards: 2, SnapshotDir: t.TempDir()})
-	if err := dst.Restore(src.eng.snapPath()); err != nil {
-		t.Fatalf("Restore: %v", err)
+	rows := map[string]Options{"keyspace": {}}
+	for _, name := range CounterBackends() {
+		rows["off-"+name] = Options{Txn: "off", Counter: name}
 	}
-	d := dial(t, dst)
-	d.expect(t, "GET 7", "1")
-	d.expect(t, "GET 99", "1")
-	d.expect(t, "GET 1000", "0")
-	d.expect(t, "HGET user:1", "41")
-	d.expect(t, "DEQ", "5")
-	d.expect(t, "DEQ", "6")
-	d.expect(t, "POP", "8")
-	d.expect(t, "PQMIN", "3")
-	d.expect(t, "READ", "2")
-	d.expect(t, "INC", "2")
-	d.expect(t, "READ", "3")
+	for name, opts := range rows {
+		t.Run(name, func(t *testing.T) {
+			opts.Shards, opts.SnapshotDir = 4, t.TempDir()
+			src := startServer(t, opts)
+			c := dial(t, src)
+
+			c.expect(t, "SET 7", "1")
+			c.expect(t, "SET 99", "1")
+			c.expect(t, "HSET user:1 41", "1")
+			c.expect(t, "ENQ 5", "OK")
+			c.expect(t, "ENQ 6", "OK")
+			c.expect(t, "PUSH 8", "OK")
+			c.expect(t, "PQADD 3", "OK")
+			c.expect(t, "INC", "0")
+			c.expect(t, "INC", "1")
+			c.expect(t, "SAVE", "OK")
+			// Mutations after the save must not be in the snapshot.
+			c.expect(t, "SET 1000", "1")
+			c.expect(t, "DEL 7", "1")
+			c.expect(t, "INC", "2")
+
+			opts.Shards, opts.SnapshotDir = 2, t.TempDir()
+			dst := startServer(t, opts)
+			d := dial(t, dst)
+			for i := 0; i < 3; i++ {
+				d.expect(t, "INC", strconv.Itoa(i))
+			}
+			d.expect(t, "HSET stale 1", "1")
+			if err := dst.Restore(src.eng.snapPath()); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			d.expect(t, "GET 7", "1")
+			d.expect(t, "GET 99", "1")
+			d.expect(t, "GET 1000", "0")
+			d.expect(t, "HGET user:1", "41")
+			d.expect(t, "HGET stale", "EMPTY")
+			d.expect(t, "DEQ", "5")
+			d.expect(t, "DEQ", "6")
+			d.expect(t, "POP", "8")
+			d.expect(t, "PQMIN", "3")
+			d.expect(t, "READ", "2")
+			d.expect(t, "INC", "2")
+			d.expect(t, "READ", "3")
+		})
+	}
+}
+
+// TestReshardSharedAndPrivateDictionaries is the deterministic reshard
+// contract for the map and counter families on both dictionary layouts:
+// the keyspace every shard shares (nothing to move: a reshard that
+// migrated it would delete the movers from the one copy, and a collect
+// that visited it per shard would save every key once per shard) and
+// private per-shard tables (every key moves at most once per doubling).
+// After 2→4→8 every key answers on the plain path — the bypass on both
+// rows — and, with the txn engine, through MULTI/HGET/EXEC; READ is
+// unchanged; and a SAVE image holds each key exactly once.
+func TestReshardSharedAndPrivateDictionaries(t *testing.T) {
+	const keys, incs = 1000, 5
+	for name, opts := range map[string]Options{
+		"keyspace": {},
+		"private":  {Map: "epoch", Txn: "off"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts.Shards, opts.MaxShards, opts.SnapshotDir = 2, 8, t.TempDir()
+			srv := startServer(t, opts)
+			c := dial(t, srv)
+			for k := 0; k < keys; k++ {
+				c.expect(t, fmt.Sprintf("HSET k%d %d", k, k+1000), "1")
+			}
+			for i := 0; i < incs; i++ {
+				c.expect(t, "INC", strconv.Itoa(i))
+			}
+			c.expect(t, "RESHARD 4", "OK")
+			c.expect(t, "RESHARD 8", "OK")
+
+			for k := 0; k < keys; k++ {
+				line, want := fmt.Sprintf("HGET k%d", k), strconv.Itoa(k+1000)
+				c.expect(t, line, want)
+				if opts.Txn != "off" {
+					c.expect(t, "MULTI", "OK")
+					c.expect(t, line, "+QUEUED")
+					c.expect(t, "EXEC", "*1")
+					if got := c.readLine(t); got != want {
+						t.Fatalf("MULTI/%s/EXEC → %q, want %q", line, got, want)
+					}
+				}
+			}
+			c.expect(t, "READ", strconv.Itoa(incs))
+			if got := srv.eng.readBypass.Value(); got != keys {
+				t.Fatalf("%d reads took the bypass, want all %d", got, keys)
+			}
+
+			c.expect(t, "SAVE", "OK")
+			st, err := snapshot.Read(srv.eng.snapPath())
+			if err != nil {
+				t.Fatalf("read snapshot back: %v", err)
+			}
+			if len(st.Map) != keys || st.Counter != incs {
+				t.Fatalf("snapshot holds %d map entries and counter %d, want %d and %d",
+					len(st.Map), st.Counter, keys, incs)
+			}
+		})
+	}
 }
 
 // TestRestoreVerb exercises the RESTORE wire verb end to end: the
@@ -576,15 +650,17 @@ func TestSnapshotWriteFailureCounted(t *testing.T) {
 	}
 }
 
-// TestBypassReadRefusedMidRestore pins the torn-restore fix
-// deterministically: loadSnapshot is wedged (restoreHook) at its most
-// inconsistent point — every family cleared, nothing inserted yet — and
-// a wait-free bypass read must then refuse to serve (served=false, so
-// the caller retries through the mailbox and parks behind the quiesce)
-// rather than report the torn miss. Covers both bypass flavors: the
-// lock-free set's per-shard read and the transactional keyspace's HGET.
+// TestBypassReadRefusedMidRestore pins the reconfiguration seqlock
+// deterministically: a RESTORE or RESHARD is wedged (reconfigHook) at its
+// most inconsistent point — every family cleared and nothing inserted
+// yet; a slot flipped to the split half and the movers not yet deleted
+// from the source — and a wait-free bypass read must then refuse to serve
+// (served=false, so the caller retries through the mailbox and parks
+// behind the reconfiguration's locks) rather than report the torn state.
+// Covers every bypass flavor: the lock-free set's and the epoch map's
+// per-shard reads, and the shared keyspace's HGET.
 func TestBypassReadRefusedMidRestore(t *testing.T) {
-	run := func(t *testing.T, opts Options, seed string, cmd Command, want int64) {
+	run := func(t *testing.T, opts Options, reshard bool, seed string, cmd Command, want int64) {
 		opts.Shards = 2
 		opts.SnapshotDir = t.TempDir()
 		srv := startServer(t, opts)
@@ -598,37 +674,51 @@ func TestBypassReadRefusedMidRestore(t *testing.T) {
 
 		e := srv.eng
 		if r, served := e.readLocal(cmd); !served || r.val != want {
-			t.Fatalf("bypass read before restore: served=%v reply=%+v", served, r)
+			t.Fatalf("bypass read before reconfiguration: served=%v reply=%+v", served, r)
 		}
 		midway, release := make(chan struct{}), make(chan struct{})
-		e.restoreHook = func() { close(midway); <-release }
+		var once sync.Once // a reshard fires the hook once per source shard
+		e.reconfigHook = func() { once.Do(func() { close(midway); <-release }) }
 		done := make(chan error, 1)
-		go func() { done <- e.loadSnapshot(st) }()
+		go func() {
+			if reshard {
+				done <- e.reshard(4)
+			} else {
+				done <- e.loadSnapshot(st)
+			}
+		}()
 		<-midway
 		if r, served := e.readLocal(cmd); served {
-			t.Fatalf("bypass read served the torn mid-restore state: %+v", r)
+			t.Fatalf("bypass read served the torn mid-reconfiguration state: %+v", r)
 		}
 		close(release)
 		if err := <-done; err != nil {
-			t.Fatalf("loadSnapshot: %v", err)
+			t.Fatalf("reconfiguration: %v", err)
 		}
-		e.restoreHook = nil
 		if r, served := e.readLocal(cmd); !served || r.val != want {
-			t.Fatalf("bypass read after restore: served=%v reply=%+v", served, r)
+			t.Fatalf("bypass read after reconfiguration: served=%v reply=%+v", served, r)
 		}
 	}
 
-	t.Run("set-lockfree", func(t *testing.T) {
-		run(t, Options{Set: "lockfree", Txn: "off"}, "SET 5", Command{Op: OpGet, Arg: 5}, 1)
-	})
-	t.Run("map-keyspace", func(t *testing.T) {
-		run(t, Options{}, "HSET k 7", Command{Op: OpHGet, Key: "k"}, 7)
-	})
+	for _, row := range []struct {
+		name string
+		opts Options
+		seed string
+		cmd  Command
+		want int64
+	}{
+		{"set-lockfree", Options{Set: "lockfree", Txn: "off"}, "SET 5", Command{Op: OpGet, Arg: 5}, 1},
+		{"map-epoch", Options{Map: "epoch", Txn: "off"}, "HSET k 7", Command{Op: OpHGet, Key: "k"}, 7},
+		{"map-keyspace", Options{}, "HSET k 7", Command{Op: OpHGet, Key: "k"}, 7},
+	} {
+		t.Run(row.name, func(t *testing.T) { run(t, row.opts, false, row.seed, row.cmd, row.want) })
+		t.Run("reshard-"+row.name, func(t *testing.T) { run(t, row.opts, true, row.seed, row.cmd, row.want) })
+	}
 }
 
 // TestBypassReadsDuringRestore pins the torn-restore fix: wait-free
 // bypass reads run on connection goroutines with no combiner lock, so
-// without the restoreGen seqlock they could observe RESTORE's
+// without the topoGen seqlock they could observe RESTORE's
 // half-restored keyspace. Every key here is present — with the same
 // value — both before and after each restore, so any miss is a
 // linearizability violation. Two legs: the lock-free set (GET bypass
@@ -712,6 +802,6 @@ func TestBypassReadsDuringRestore(t *testing.T) {
 	t.Run("map-keyspace", func(t *testing.T) {
 		run(t, Options{},
 			func(c *client, k int) { c.expect(t, fmt.Sprintf("HSET k%d %d", k, k+1000), "1") },
-			func(k int) (string, string) { return fmt.Sprintf("HGET k%d", k), strconv.Itoa(k+1000) })
+			func(k int) (string, string) { return fmt.Sprintf("HGET k%d", k), strconv.Itoa(k + 1000) })
 	})
 }

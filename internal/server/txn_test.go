@@ -171,6 +171,10 @@ func TestTxnDisabled(t *testing.T) {
 	if strings.Contains(body, "op txn.commit") {
 		t.Fatalf("STATS has txn counters while off:\n%s", body)
 	}
+	// ...and the backend row names the -map/-counter structures serving.
+	if !strings.Contains(body, " map=striped ") || !strings.Contains(body, " counter=combining ") {
+		t.Fatalf("STATS backend row does not name the -map/-counter backends:\n%s", body)
+	}
 }
 
 // TestTxnStagedBufferCap checks the MaxTxnOps bound: the overflowing
