@@ -93,21 +93,18 @@ func (m *Counter) IncN(me core.ThreadID, n int64) {
 // quiescence it is exact.
 func (m *Counter) Value() int64 { return m.hi.Load() }
 
-// histBuckets spans 1µs to ~2^24µs (≈ 16.8s); slower observations land in
-// the last bucket.
-const histBuckets = 25
-
-// Histogram is a log₂-bucketed latency histogram. Bucket i counts
-// observations in [2^(i-1), 2^i) microseconds (bucket 0: below 1µs).
-type Histogram struct {
-	buckets [histBuckets]*Counter
-	sumNS   atomic.Int64
+// logHist is the one log₂ histogram behind both exported types: counter
+// buckets over a pluggable counting backend plus the sum of what was
+// observed. Bucket 0 holds values ≤ 0, bucket i (i ≥ 1) holds
+// [2^(i-1), 2^i), and the last bucket absorbs everything larger.
+type logHist struct {
+	buckets []*Counter
+	sum     atomic.Int64
 }
 
-// NewHistogram builds a histogram whose buckets are produced by factory
-// (nil means CASCounter buckets).
-func NewHistogram(factory func() counting.Counter) *Histogram {
-	h := &Histogram{}
+// init builds n buckets from factory (nil means CASCounter buckets).
+func (h *logHist) init(n int, factory func() counting.Counter) {
+	h.buckets = make([]*Counter, n)
 	for i := range h.buckets {
 		var c counting.Counter
 		if factory != nil {
@@ -115,15 +112,9 @@ func NewHistogram(factory func() counting.Counter) *Histogram {
 		}
 		h.buckets[i] = NewCounter(c)
 	}
-	return h
 }
 
-// bucketOf maps a microsecond latency to its bucket index.
-func bucketOf(us int64) int { return logBucket(us, histBuckets) }
-
-// logBucket maps a value to its log₂ bucket among n buckets: bucket 0
-// holds values ≤ 0, bucket i (i ≥ 1) holds [2^(i-1), 2^i), and the last
-// bucket absorbs everything larger.
+// logBucket maps a value to its log₂ bucket among n buckets.
 func logBucket(v int64, n int) int {
 	if v <= 0 {
 		return 0
@@ -135,10 +126,61 @@ func logBucket(v int64, n int) int {
 	return b
 }
 
+// bucket adds weight to the sum and returns the counter of the bucket
+// holding value v, for the caller to increment.
+func (h *logHist) bucket(v, weight int64) *Counter {
+	h.sum.Add(weight)
+	return h.buckets[logBucket(v, len(h.buckets))]
+}
+
+// Count reports the number of samples observed.
+func (h *logHist) Count() int64 {
+	var n int64
+	for _, b := range h.buckets {
+		n += b.Value()
+	}
+	return n
+}
+
+// edge reports the exclusive upper edge, 2^i, of the bucket i holding the
+// q·count-th sample (0 < q ≤ 1); 0 when empty. Resolution is a factor of
+// two, which is all a capacity dashboard needs.
+func (h *logHist) edge(q float64) int64 {
+	total := h.Count()
+	if total == 0 {
+		return 0
+	}
+	rank := max(int64(q*float64(total)), 1)
+	var seen int64
+	for i, b := range h.buckets {
+		seen += b.Value()
+		if seen >= rank {
+			return 1 << uint(i)
+		}
+	}
+	return 1 << uint(len(h.buckets))
+}
+
+// histBuckets spans 1µs to ~2^24µs (≈ 16.8s); slower observations land in
+// the last bucket.
+const histBuckets = 25
+
+// Histogram is a log₂-bucketed latency histogram: bucket i counts
+// observations in [2^(i-1), 2^i) microseconds (bucket 0: below 1µs); the
+// sum is kept in nanoseconds.
+type Histogram struct{ logHist }
+
+// NewHistogram builds a histogram whose buckets are produced by factory
+// (nil means CASCounter buckets).
+func NewHistogram(factory func() counting.Counter) *Histogram {
+	h := &Histogram{}
+	h.init(histBuckets, factory)
+	return h
+}
+
 // Observe records one latency sample on behalf of thread me.
 func (h *Histogram) Observe(d time.Duration, me core.ThreadID) {
-	h.sumNS.Add(int64(d))
-	h.buckets[bucketOf(d.Microseconds())].Inc(me)
+	h.bucket(d.Microseconds(), int64(d)).Inc(me)
 }
 
 // ObserveN records n samples of the same latency d in one call: one sum
@@ -146,20 +188,9 @@ func (h *Histogram) Observe(d time.Duration, me core.ThreadID) {
 // clock once per run of identical commands and charges the whole run
 // with ObserveN, which is what makes the amortized clock free.
 func (h *Histogram) ObserveN(d time.Duration, n int64, me core.ThreadID) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		h.bucket(d.Microseconds(), int64(d)*n).IncN(me, n)
 	}
-	h.sumNS.Add(int64(d) * n)
-	h.buckets[bucketOf(d.Microseconds())].IncN(me, n)
-}
-
-// Count reports the number of samples observed.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for _, b := range h.buckets {
-		n += b.Value()
-	}
-	return n
 }
 
 // Mean reports the average observed latency (0 when empty).
@@ -168,29 +199,13 @@ func (h *Histogram) Mean() time.Duration {
 	if n == 0 {
 		return 0
 	}
-	return time.Duration(h.sumNS.Load() / n)
+	return time.Duration(h.sum.Load() / n)
 }
 
 // Quantile reports an upper bound for the q-quantile (0 < q ≤ 1): the
-// upper edge of the bucket holding the q·count-th sample. Resolution is a
-// factor of two, which is all a capacity dashboard needs.
+// upper edge of the bucket holding the q·count-th sample.
 func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, b := range h.buckets {
-		seen += b.Value()
-		if seen >= rank {
-			return time.Duration(int64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return time.Duration(int64(1)<<uint(histBuckets)) * time.Microsecond
+	return time.Duration(h.edge(q)) * time.Microsecond
 }
 
 // sizeBuckets spans sizes 1 to 2^16; larger sizes land in the last
@@ -200,44 +215,19 @@ const sizeBuckets = 17
 // SizeHistogram is a log₂-bucketed histogram of positive integer sizes.
 // The server records one sample per shard wakeup: how many commands the
 // flat-combining pass applied in that run, which makes the realized
-// batching visible in STATS. Bucket 0 holds sizes ≤ 0 (unused in
-// practice), bucket i holds sizes in [2^(i-1), 2^i).
-//
-// Like Histogram, the buckets are Counters over a pluggable
-// counting.Counter backend and recording takes the caller's ThreadID.
-type SizeHistogram struct {
-	buckets [sizeBuckets]*Counter
-	sum     atomic.Int64
-}
+// batching visible in STATS.
+type SizeHistogram struct{ logHist }
 
 // NewSizeHistogram builds a size histogram whose buckets are produced by
 // factory (nil means CASCounter buckets).
 func NewSizeHistogram(factory func() counting.Counter) *SizeHistogram {
 	h := &SizeHistogram{}
-	for i := range h.buckets {
-		var c counting.Counter
-		if factory != nil {
-			c = factory()
-		}
-		h.buckets[i] = NewCounter(c)
-	}
+	h.init(sizeBuckets, factory)
 	return h
 }
 
 // Observe records one size sample on behalf of thread me.
-func (h *SizeHistogram) Observe(n int64, me core.ThreadID) {
-	h.sum.Add(n)
-	h.buckets[logBucket(n, sizeBuckets)].Inc(me)
-}
-
-// Count reports the number of samples observed.
-func (h *SizeHistogram) Count() int64 {
-	var n int64
-	for _, b := range h.buckets {
-		n += b.Value()
-	}
-	return n
-}
+func (h *SizeHistogram) Observe(n int64, me core.ThreadID) { h.bucket(n, n).Inc(me) }
 
 // Sum reports the total of all observed sizes.
 func (h *SizeHistogram) Sum() int64 { return h.sum.Load() }
@@ -253,27 +243,9 @@ func (h *SizeHistogram) Mean() float64 {
 
 // Quantile reports an upper bound for the q-quantile (0 < q ≤ 1): the
 // largest size in the bucket holding the q·count-th sample (2^i − 1 for
-// bucket i). Resolution is a factor of two.
+// bucket i, 0 when empty).
 func (h *SizeHistogram) Quantile(q float64) int64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i, b := range h.buckets {
-		seen += b.Value()
-		if seen >= rank {
-			if i == 0 {
-				return 0
-			}
-			return int64(1)<<uint(i) - 1
-		}
-	}
-	return int64(1)<<uint(sizeBuckets) - 1
+	return max(h.edge(q)-1, 0)
 }
 
 // Format renders the histogram as one "hist <name> count=… sum=… mean=…

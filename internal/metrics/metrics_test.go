@@ -48,8 +48,8 @@ func TestHistogramBuckets(t *testing.T) {
 		{1 << 40, histBuckets - 1},
 	}
 	for _, c := range cases {
-		if got := bucketOf(c.us); got != c.want {
-			t.Errorf("bucketOf(%d) = %d, want %d", c.us, got, c.want)
+		if got := logBucket(c.us, histBuckets); got != c.want {
+			t.Errorf("logBucket(%d) = %d, want %d", c.us, got, c.want)
 		}
 	}
 }

@@ -2,7 +2,9 @@
 // internal/, chosen by name at startup. This is the server-side rendering
 // of the book's central theme — many synchronization strategies for one
 // abstract object — and of the Adjusted Objects idea of selecting the
-// implementation per workload.
+// implementation per workload. The queue, stack and priority-queue
+// families are one abstract object here as in the book: the pool (§10.1),
+// put() and get(), differing only in which item get answers.
 package server
 
 import (
@@ -161,24 +163,14 @@ func (o Options) withDefaults() Options {
 // errFull reports a bounded structure at capacity.
 var errFull = errors.New("full")
 
-// queueBackend adapts the queue family. enq returns errFull when a
-// bounded backend is at capacity.
-type queueBackend interface {
-	enq(v int64) error
-	deq() (int64, bool)
-}
-
-// stackBackend adapts the stack family.
-type stackBackend interface {
-	push(v int64)
-	pop() (int64, bool)
-}
-
-// pqBackend adapts the priority-queue family. add reports errFull or a
-// range error for bounded backends.
-type pqBackend interface {
-	add(p int64) error
-	removeMin() (int64, bool)
+// pool is the book's §10.1 abstract object behind the queue, stack and
+// priority-queue families: put adds an item (errFull when a bounded
+// backend is at capacity, a range error for the ranged priority queues),
+// get removes the item the family's discipline chooses — the oldest, the
+// newest, the smallest.
+type pool interface {
+	put(v int64) error
+	get() (int64, bool)
 }
 
 // counterBackend adapts the counter family. inc takes one ticket on
@@ -195,8 +187,8 @@ type counterBackend interface {
 // enqueue.
 type genericQueue struct{ q queue.Queue[int64] }
 
-func (g genericQueue) enq(v int64) error  { g.q.Enq(v); return nil }
-func (g genericQueue) deq() (int64, bool) { return g.q.Deq() }
+func (g genericQueue) put(v int64) error  { g.q.Enq(v); return nil }
+func (g genericQueue) get() (int64, bool) { return g.q.Deq() }
 
 // boundedQueue guards the blocking two-lock bounded queue with a size
 // check so a full queue answers FULL instead of stalling its shard. The
@@ -205,7 +197,7 @@ func (g genericQueue) deq() (int64, bool) { return g.q.Deq() }
 // semantics, bounded here to the race window.
 type boundedQueue struct{ q *queue.BoundedQueue[int64] }
 
-func (b boundedQueue) enq(v int64) error {
+func (b boundedQueue) put(v int64) error {
 	if b.q.Size() >= b.q.Capacity() {
 		return errFull
 	}
@@ -213,27 +205,27 @@ func (b boundedQueue) enq(v int64) error {
 	return nil
 }
 
-// deq uses TryDeq: the blocking Deq would park the shard goroutine on an
+// get uses TryDeq: the blocking Deq would park the shard goroutine on an
 // empty queue, stalling every command routed to that shard.
-func (b boundedQueue) deq() (int64, bool) { return b.q.TryDeq() }
+func (b boundedQueue) get() (int64, bool) { return b.q.TryDeq() }
 
 // recyclingQueue adapts the node-recycling queue, whose Enq refuses when
 // the node pool is exhausted.
 type recyclingQueue struct{ q *queue.RecyclingQueue }
 
-func (r recyclingQueue) enq(v int64) error {
+func (r recyclingQueue) put(v int64) error {
 	if !r.q.Enq(v) {
 		return errFull
 	}
 	return nil
 }
-func (r recyclingQueue) deq() (int64, bool) { return r.q.Deq() }
+func (r recyclingQueue) get() (int64, bool) { return r.q.Deq() }
 
 // genericStack serves any stack.Stack.
 type genericStack struct{ s stack.Stack[int64] }
 
-func (g genericStack) push(v int64)       { g.s.Push(v) }
-func (g genericStack) pop() (int64, bool) { return g.s.Pop() }
+func (g genericStack) put(v int64) error  { g.s.Push(v); return nil }
+func (g genericStack) get() (int64, bool) { return g.s.Pop() }
 
 // rangedPQ serves the bounded pools (SimpleLinear, SimpleTree), which
 // panic outside their priority range; the adapter turns that into an error
@@ -243,21 +235,21 @@ type rangedPQ struct {
 	rng int64
 }
 
-func (r rangedPQ) add(p int64) error {
+func (r rangedPQ) put(p int64) error {
 	if p < 0 || p >= r.rng {
 		return fmt.Errorf("priority %d outside [0,%d)", p, r.rng)
 	}
 	r.q.Add(int(p))
 	return nil
 }
-func (r rangedPQ) removeMin() (int64, bool) {
+func (r rangedPQ) get() (int64, bool) {
 	v, ok := r.q.RemoveMin()
 	return int64(v), ok
 }
 
 // cappedPQ serves the fine-grained heap, which panics past its capacity;
 // a conservative item count turns overflow into FULL. The count may
-// transiently overestimate (add reserves before inserting), never
+// transiently overestimate (put reserves before inserting), never
 // underestimate, so the heap cannot overflow.
 type cappedPQ struct {
 	q    *pqueue.FineGrainedHeap
@@ -265,7 +257,7 @@ type cappedPQ struct {
 	size atomic.Int64
 }
 
-func (c *cappedPQ) add(p int64) error {
+func (c *cappedPQ) put(p int64) error {
 	if p < sentinelGuardMin || p > sentinelGuardMax {
 		return fmt.Errorf("priority %d out of range", p)
 	}
@@ -276,7 +268,7 @@ func (c *cappedPQ) add(p int64) error {
 	c.q.Add(int(p))
 	return nil
 }
-func (c *cappedPQ) removeMin() (int64, bool) {
+func (c *cappedPQ) get() (int64, bool) {
 	v, ok := c.q.RemoveMin()
 	if ok {
 		c.size.Add(-1)
@@ -287,14 +279,14 @@ func (c *cappedPQ) removeMin() (int64, bool) {
 // openPQ serves the unbounded linearizable/quiescent queues.
 type openPQ struct{ q pqueue.PQueue }
 
-func (o openPQ) add(p int64) error {
+func (o openPQ) put(p int64) error {
 	if p < sentinelGuardMin || p > sentinelGuardMax {
 		return fmt.Errorf("priority %d out of range", p)
 	}
 	o.q.Add(int(p))
 	return nil
 }
-func (o openPQ) removeMin() (int64, bool) {
+func (o openPQ) get() (int64, bool) {
 	v, ok := o.q.RemoveMin()
 	return int64(v), ok
 }
@@ -352,29 +344,32 @@ type rangeMap interface {
 	Range(f func(key string, val int64) bool)
 }
 
-// setEntry is one -set registry row: a constructor plus the capability
+// row is one -set or -map registry row: a constructor plus the capability
 // that gates the wait-free read fast path. readBypass asserts that
-// Contains on the built structure is safe to call from any goroutine
+// Contains (Get) on the built structure is safe to call from any goroutine
 // concurrently with the owning shard's writes — true for the lock-free
 // sets, whose reads are CAS-free pointer chases (epoch-pinned where the
-// structure recycles nodes), false for every lock-based table, where a
-// foreign reader would race the resize/quiesce protocols.
-// The adaptive capability marks the self-tuning meta-backends, whose
-// bypass safety is per-shard and per-moment (the live member decides);
-// the engine consults the shard's container instead of this table.
-type setEntry struct {
-	make       func(o Options) rangeSet
+// structure recycles nodes), and the epoch map; false for every
+// lock-based table, where a foreign reader would race the resize/quiesce
+// protocols. The adaptive capability marks the self-tuning meta-backends,
+// whose bypass safety is per-shard and per-moment (the live member
+// decides); the engine consults the shard's controller instead of this
+// table. With -txn on the engine replaces the resolved map row with one
+// whose make returns the shared keyspace.
+type row[T any] struct {
+	make       func(o Options) T
 	readBypass bool
 	adaptive   bool
 }
 
-// mapEntry mirrors setEntry for the -map registry: readBypass asserts
-// Get is safe from any goroutine. With -txn on the engine replaces the
-// resolved row with one whose make returns the shared keyspace.
-type mapEntry struct {
-	make       func(o Options) rangeMap
-	readBypass bool
-	adaptive   bool
+// morpher is what the engine asks of an adaptive container, whichever
+// keyed family it serves.
+type morpher interface {
+	Tick() (from, to string, flipped bool)
+	BypassOK() bool
+	Current() string
+	Flips() int64
+	Transitions() []adaptive.Transition
 }
 
 // morphConfig renders the -morph options as an adaptive controller
@@ -386,7 +381,7 @@ func (o Options) morphConfig() adaptive.Config {
 // Backend constructor tables. Each entry builds a fresh instance from the
 // (defaulted) options.
 var (
-	setBackends = map[string]setEntry{
+	setBackends = map[string]row[rangeSet]{
 		"coarse":    {make: func(o Options) rangeSet { return hashset.NewCoarseHashSet(o.SetCapacity) }},
 		"striped":   {make: func(o Options) rangeSet { return hashset.NewStripedHashSet(o.SetCapacity) }},
 		"refinable": {make: func(o Options) rangeSet { return hashset.NewRefinableHashSet(o.SetCapacity) }},
@@ -405,7 +400,7 @@ var (
 	// The map family serves HSET/HGET/HDEL: per-shard string-keyed
 	// dictionaries with open chaining (internal/strmap), mirroring the
 	// set registry's synchronization spectrum.
-	mapBackends = map[string]mapEntry{
+	mapBackends = map[string]row[rangeMap]{
 		"coarse":       {make: func(o Options) rangeMap { return strmap.NewCoarseMap(o.SetCapacity) }},
 		"striped":      {make: func(o Options) rangeMap { return strmap.NewStripedMap(o.SetCapacity) }},
 		"refinable":    {make: func(o Options) rangeMap { return strmap.NewRefinableMap(o.SetCapacity) }},
@@ -419,32 +414,32 @@ var (
 		"adaptive": {make: func(o Options) rangeMap { return adaptive.NewMap(o.SetCapacity, o.morphConfig()) },
 			adaptive: true},
 	}
-	queueBackends = map[string]func(o Options) queueBackend{
-		"bounded":   func(o Options) queueBackend { return boundedQueue{queue.NewBoundedQueue[int64](o.QueueCapacity)} },
-		"unbounded": func(o Options) queueBackend { return genericQueue{queue.NewUnboundedQueue[int64]()} },
-		"lockfree":  func(o Options) queueBackend { return genericQueue{queue.NewLockFreeQueue[int64]()} },
-		"recycling": func(o Options) queueBackend { return recyclingQueue{queue.NewRecyclingQueue(o.QueueCapacity)} },
+	queueBackends = map[string]func(o Options) pool{
+		"bounded":   func(o Options) pool { return boundedQueue{queue.NewBoundedQueue[int64](o.QueueCapacity)} },
+		"unbounded": func(o Options) pool { return genericQueue{queue.NewUnboundedQueue[int64]()} },
+		"lockfree":  func(o Options) pool { return genericQueue{queue.NewLockFreeQueue[int64]()} },
+		"recycling": func(o Options) pool { return recyclingQueue{queue.NewRecyclingQueue(o.QueueCapacity)} },
 		// Michael–Scott with epoch-based node recycling: unbounded like
 		// "lockfree" but allocation-free once warm.
-		"lockfree-epoch": func(o Options) queueBackend { return genericQueue{queue.NewEpochQueue[int64]()} },
+		"lockfree-epoch": func(o Options) pool { return genericQueue{queue.NewEpochQueue[int64]()} },
 	}
-	stackBackends = map[string]func(o Options) stackBackend{
-		"locked":      func(o Options) stackBackend { return genericStack{stack.NewLockedStack[int64]()} },
-		"treiber":     func(o Options) stackBackend { return genericStack{stack.NewLockFreeStack[int64]()} },
-		"elimination": func(o Options) stackBackend { return genericStack{stack.NewEliminationBackoffStack[int64]()} },
+	stackBackends = map[string]func(o Options) pool{
+		"locked":      func(o Options) pool { return genericStack{stack.NewLockedStack[int64]()} },
+		"treiber":     func(o Options) pool { return genericStack{stack.NewLockFreeStack[int64]()} },
+		"elimination": func(o Options) pool { return genericStack{stack.NewEliminationBackoffStack[int64]()} },
 	}
-	pqBackends = map[string]func(o Options) pqBackend{
-		"locked": func(o Options) pqBackend { return openPQ{pqueue.NewLockedHeap()} },
-		"skip":   func(o Options) pqBackend { return openPQ{pqueue.NewSkipQueue()} },
-		"heap": func(o Options) pqBackend {
+	pqBackends = map[string]func(o Options) pool{
+		"locked": func(o Options) pool { return openPQ{pqueue.NewLockedHeap()} },
+		"skip":   func(o Options) pool { return openPQ{pqueue.NewSkipQueue()} },
+		"heap": func(o Options) pool {
 			c := &cappedPQ{q: pqueue.NewFineGrainedHeap(o.PQCapacity)}
 			c.cap = int64(o.PQCapacity)
 			return c
 		},
-		"linear": func(o Options) pqBackend {
+		"linear": func(o Options) pool {
 			return rangedPQ{pqueue.NewSimpleLinear(o.PQCapacity), int64(o.PQCapacity)}
 		},
-		"tree": func(o Options) pqBackend {
+		"tree": func(o Options) pool {
 			return rangedPQ{pqueue.NewSimpleTree(nextPow2(o.PQCapacity)), int64(nextPow2(o.PQCapacity))}
 		},
 	}
@@ -462,6 +457,25 @@ var (
 		},
 	}
 )
+
+// pools holds one pool per pool family, indexed by family (the keyed
+// families' slots stay nil).
+type pools [famPQ + 1]pool
+
+// newPools builds the three pools from their named backends: at boot, and
+// again as the off-line scratch instances RESTORE validates an image into.
+func newPools(o Options) (ps pools, err error) {
+	names := [...]string{famQueue: o.Queue, famStack: o.Stack, famPQ: o.PQueue}
+	tables := [...]map[string]func(Options) pool{famQueue: queueBackends, famStack: stackBackends, famPQ: pqBackends}
+	for f := famQueue; f <= famPQ; f++ {
+		mk, err := lookup(f.String(), names[f], tables[f])
+		if err != nil {
+			return ps, err
+		}
+		ps[f] = mk(o)
+	}
+	return ps, nil
+}
 
 // counterWidth sizes combining trees and counting networks: a power of
 // two covering every shard the engine may ever run (the structures
@@ -496,27 +510,19 @@ func MapBackends() []string { return sortedKeys(mapBackends) }
 
 // BypassSetBackends lists the -set names whose reads may take the
 // wait-free bypass (readBypass capability), for tests and docs.
-func BypassSetBackends() []string {
-	var names []string
-	for name, e := range setBackends {
-		if e.readBypass {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
+func BypassSetBackends() []string { return bypassNames(setBackends) }
 
 // BypassMapBackends lists the -map names whose reads may take the
 // wait-free bypass.
-func BypassMapBackends() []string {
+func BypassMapBackends() []string { return bypassNames(mapBackends) }
+
+func bypassNames[T any](table map[string]row[T]) []string {
 	var names []string
-	for name, e := range mapBackends {
-		if e.readBypass {
+	for _, name := range sortedKeys(table) {
+		if table[name].readBypass {
 			names = append(names, name)
 		}
 	}
-	sort.Strings(names)
 	return names
 }
 

@@ -402,16 +402,7 @@ func BenchmarkServerTCPAdaptive(b *testing.B) {
 		}
 	})
 	b.StopTimer()
-	var flips int64
-	for _, s := range srv.eng.allShards() {
-		if s.adSet != nil {
-			flips += s.adSet.Flips()
-		}
-		if s.adMap != nil {
-			flips += s.adMap.Flips()
-		}
-	}
-	b.ReportMetric(float64(flips), "morphs")
+	b.ReportMetric(float64(srv.eng.morphFlips()), "morphs")
 }
 
 // BenchmarkReadBypassSteady isolates the wait-free read path itself —
@@ -428,8 +419,8 @@ func BenchmarkReadBypassSteady(b *testing.B) {
 	}
 	defer srv.Shutdown(context.Background())
 	e := srv.eng
-	if !e.bypassSet || !e.bypassMap {
-		b.Fatalf("bypass not enabled: set=%v map=%v", e.bypassSet, e.bypassMap)
+	if e.bypass != [2]bypassMode{bypassOn, bypassOn} {
+		b.Fatalf("bypass not enabled: set=%v map=%v", e.bypass[famSet], e.bypass[famMap])
 	}
 
 	keys := make([]string, 1024)

@@ -112,20 +112,6 @@ type router struct {
 func (r *router) n() int             { return len(r.slots) }
 func (r *router) shard(i int) *shard { return r.slots[i].Load() }
 
-// distinct returns the router's shards, deduplicated (during a reshard's
-// alias phase two slots share one shard), in slot order.
-func (r *router) distinct() []*shard {
-	seen := make(map[*shard]bool, len(r.slots))
-	out := make([]*shard, 0, len(r.slots))
-	for i := range r.slots {
-		if s := r.shard(i); !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // shard owns a private set instance, a string-keyed dictionary, and an
 // MPSC mailbox drained by whoever holds the combiner lock. Map commands
 // route by the FNV-1a hash of their key (Command.ShardKey), then resolve
@@ -146,13 +132,12 @@ type shard struct {
 	// dictionary has no writer but this shard's combiner.
 	incr func(key string, delta int64) int64
 
-	// adSet/adMap alias set/dict when the family runs the adaptive
-	// meta-backend (nil otherwise): the engine consults them for the
-	// per-shard dynamic bypass capability and ticks them at batch
-	// boundaries, the morph point where the structure is quiesced by
-	// construction.
-	adSet *adaptive.Set
-	adMap *adaptive.Map
+	// ad[f] is keyed family f's adaptive controller — the same value as
+	// set or dict — when the family runs the adaptive meta-backend (nil
+	// otherwise): the engine asks it for the per-shard dynamic bypass
+	// capability and ticks it at batch boundaries, the morph point where
+	// the structure is quiesced by construction.
+	ad [2]morpher
 
 	// comb is the combiner lock: whoever holds it is the shard's
 	// single consumer, draining the mailbox and executing batches with
@@ -211,12 +196,18 @@ type engine struct {
 
 	// Snapshot bookkeeping: background BGSAVE writers (stop waits for
 	// them), completed and failed saves, and the last save's coarse stamp
-	// and size.
+	// and size. Cuts are numbered under reconfigMu (snapCut) and published
+	// one at a time under snapMu, which guards snapDisk, the number of the
+	// cut the file on disk holds: a writer overtaken by a newer cut drops
+	// its image instead of renaming it over the newer one.
 	snapWG    sync.WaitGroup
 	snapSaves metrics.FlatCounter
 	snapFails metrics.FlatCounter // snapshot writes that errored (SAVE or BGSAVE)
 	snapLast  atomic.Int64        // coarse-clock stamp of the last completed save
 	snapBytes atomic.Int64        // size of the last completed save
+	snapMu    sync.Mutex
+	snapCut   uint64
+	snapDisk  uint64
 
 	// topoGen is the reconfiguration seqlock: RESTORE and RESHARD — the
 	// two paths that clear, refill or re-home keyed state under readers
@@ -230,14 +221,12 @@ type engine struct {
 	// that window.
 	topoGen atomic.Uint64
 
-	// setEnt/mapEnt are the resolved registry rows, kept so a reshard can
+	// setRow/mapRow are the resolved registry rows, kept so a reshard can
 	// construct new shards with the configured backends.
-	setEnt setEntry
-	mapEnt mapEntry
+	setRow row[rangeSet]
+	mapRow row[rangeMap]
 
-	queue      queueBackend
-	stack      stackBackend
-	pq         pqBackend
+	pools      pools // queue, stack, pqueue: swapped whole by RESTORE, under the quiesce
 	counter    counterBackend
 	ks         txn.Keyspace // the txn engine (EXEC, TXSTATS); nil when Txn "off"
 	rr         atomic.Uint32
@@ -247,36 +236,25 @@ type engine struct {
 	batchSizes *metrics.SizeHistogram // commands combined per shard wakeup
 	wg         sync.WaitGroup
 
-	// The amortized clock. now is the engine's time source (time.Now
-	// outside tests — see Options.clock); epoch is its reading at
-	// construction; coarse is the latest published reading, as
-	// nanoseconds since epoch. Latency stamps and observations both
-	// read coarse — no clock call at all on those paths — and the
-	// clock is refreshed (one real read, one atomic store) only once
-	// per parse-ahead round and every clockEvery executed commands
-	// inside a combining sweep. Races between refreshers can step the
-	// published value backwards by one refresh; observers clamp
+	// The amortized clock. The time source is opts.clock (time.Now
+	// outside tests); epoch is its reading at construction; coarse is the
+	// latest published reading, as nanoseconds since epoch. Latency stamps
+	// and observations both read coarse — no clock call at all on those
+	// paths — and the clock is refreshed (one real read, one atomic store)
+	// only once per parse-ahead round and every clockEvery executed
+	// commands inside a combining sweep. Races between refreshers can step
+	// the published value backwards by one refresh; observers clamp
 	// negative differences to zero.
-	now    func() time.Time
 	epoch  time.Time
 	coarse atomic.Int64
 
-	// Wait-free read bypass state. bypassSet/bypassMap record whether
-	// GET/HGET may execute on the calling (connection) goroutine: the
-	// resolved row's capability ANDed with Options.ReadBypass. The
-	// counters split served reads by path for STATS.
-	bypassSet   bool
-	bypassMap   bool
+	// Wait-free read bypass state. bypass[f] says whether keyed family
+	// f's point read (GET, HGET) may execute on the calling (connection)
+	// goroutine: the resolved row's capability under Options.ReadBypass.
+	// The counters split served reads by path for STATS.
+	bypass      [2]bypassMode
 	readBypass  metrics.FlatCounter // reads served on connection goroutines
 	readMailbox metrics.FlatCounter // reads that rode a shard mailbox
-
-	// Adaptive morphing state. bypassDynSet/bypassDynMap mark families
-	// whose bypass capability is dynamic — the adaptive backends, where
-	// safety is a property of the shard's live member, consulted per
-	// command. morphOn gates the batch-boundary controller ticks.
-	bypassDynSet bool
-	bypassDynMap bool
-	morphOn      bool
 
 	// Combiner-path split for STATS: drains performed inline by a
 	// submitting connection goroutine versus by the dedicated shard
@@ -297,13 +275,37 @@ type engine struct {
 	reconfigHook func()
 }
 
+// bypassMode is one keyed family's read-bypass state, spelled as STATS
+// prints it. Under bypassAdaptive the capability is dynamic — it holds
+// exactly while a shard's live member is its read-optimized one — so
+// canBypass consults the shard instead of a static answer.
+type bypassMode string
+
+const (
+	bypassOff      bypassMode = "off"
+	bypassOn       bypassMode = "on"
+	bypassAdaptive bypassMode = "adaptive"
+)
+
+func bypassOf[T any](r row[T], o Options) bypassMode {
+	switch {
+	case o.ReadBypass != "on":
+		return bypassOff
+	case r.adaptive:
+		return bypassAdaptive
+	case r.readBypass:
+		return bypassOn
+	}
+	return bypassOff
+}
+
 // newEngine builds the structures and starts one goroutine per shard.
 func newEngine(o Options) (*engine, error) {
-	setEnt, err := lookup("set", o.Set, setBackends)
+	setRow, err := lookup("set", o.Set, setBackends)
 	if err != nil {
 		return nil, err
 	}
-	mapEnt, err := lookup("map", o.Map, mapBackends)
+	mapRow, err := lookup("map", o.Map, mapBackends)
 	if err != nil {
 		return nil, err
 	}
@@ -313,15 +315,7 @@ func newEngine(o Options) (*engine, error) {
 	if o.Morph != "on" && o.Morph != "off" {
 		return nil, fmt.Errorf("server: unknown morph mode %q (have on, off)", o.Morph)
 	}
-	newQueue, err := lookup("queue", o.Queue, queueBackends)
-	if err != nil {
-		return nil, err
-	}
-	newStack, err := lookup("stack", o.Stack, stackBackends)
-	if err != nil {
-		return nil, err
-	}
-	newPQ, err := lookup("pqueue", o.PQueue, pqBackends)
+	pools, err := newPools(o)
 	if err != nil {
 		return nil, err
 	}
@@ -343,7 +337,7 @@ func newEngine(o Options) (*engine, error) {
 	// hence readBypass) and the counter, and -map/-counter name nothing.
 	var counter counterBackend
 	if ks != nil {
-		mapEnt = mapEntry{make: func(Options) rangeMap { return ks }, readBypass: true}
+		mapRow = row[rangeMap]{make: func(Options) rangeMap { return ks }, readBypass: true}
 		counter = ksCounter{ks}
 		o.Map, o.Counter = "keyspace", "keyspace"
 	} else {
@@ -351,28 +345,24 @@ func newEngine(o Options) (*engine, error) {
 	}
 
 	factory := func() counting.Counter { return newMetricsCounter(o) }
+	var measured []string
+	for _, info := range ops {
+		if info.metric != "" {
+			measured = append(measured, info.metric)
+		}
+	}
 	e := &engine{
 		opts:       o,
-		setEnt:     setEnt,
-		mapEnt:     mapEnt,
-		queue:      newQueue(o),
-		stack:      newStack(o),
-		pq:         newPQ(o),
+		setRow:     setRow,
+		mapRow:     mapRow,
+		pools:      pools,
 		counter:    counter,
 		ks:         ks,
-		metrics:    metrics.NewRegistry(factory, allMetricNames()...),
+		metrics:    metrics.NewRegistry(factory, measured...),
 		batchSizes: metrics.NewSizeHistogram(factory),
-		now:        o.clock,
 		epoch:      o.clock(),
+		bypass:     [2]bypassMode{famSet: bypassOf(setRow, o), famMap: bypassOf(mapRow, o)},
 	}
-	// For the adaptive backends the bypass capability is dynamic — it
-	// holds exactly while a shard's live member is its read-optimized one
-	// — so canBypass consults the shard instead of a static flag.
-	e.bypassSet = o.ReadBypass == "on" && setEnt.readBypass
-	e.bypassMap = o.ReadBypass == "on" && mapEnt.readBypass
-	e.bypassDynSet = o.ReadBypass == "on" && setEnt.adaptive
-	e.bypassDynMap = o.ReadBypass == "on" && mapEnt.adaptive
-	e.morphOn = o.Morph == "on" && (setEnt.adaptive || mapEnt.adaptive)
 	e.ext = metrics.Externals{
 		e.readBypass.External("read.bypass"),
 		e.readMailbox.External("read.mailbox"),
@@ -405,12 +395,12 @@ func newEngine(o Options) (*engine, error) {
 			metrics.External{Name: "txn.abort", Read: ks.Aborts},
 		)
 	}
-	if setEnt.adaptive || mapEnt.adaptive {
+	if setRow.adaptive || mapRow.adaptive {
 		e.ext = append(e.ext, metrics.External{Name: "morph.flip", Read: e.morphFlips})
 	}
-	for op, name := range metricNames {
-		if name != "" {
-			e.mops[op] = e.metrics.Op(name)
+	for op, info := range ops {
+		if info.metric != "" {
+			e.mops[op] = e.metrics.Op(info.metric)
 		}
 	}
 	rt := &router{slots: make([]atomic.Pointer[shard], o.Shards)}
@@ -429,16 +419,16 @@ func newEngine(o Options) (*engine, error) {
 func (e *engine) newShard(id core.ThreadID) *shard {
 	s := &shard{
 		id:   id,
-		set:  e.setEnt.make(e.opts),
-		dict: e.mapEnt.make(e.opts),
+		set:  e.setRow.make(e.opts),
+		dict: e.mapRow.make(e.opts),
 		mbox: mailbox.New[*batch](shardQueueDepth, e.opts.SpinBudget),
 		run:  make([]*batch, 0, shardQueueDepth),
 	}
-	if e.setEnt.adaptive {
-		s.adSet = s.set.(*adaptive.Set)
+	if e.setRow.adaptive {
+		s.ad[famSet] = s.set.(morpher)
 	}
-	if e.mapEnt.adaptive {
-		s.adMap = s.dict.(*adaptive.Map)
+	if e.mapRow.adaptive {
+		s.ad[famMap] = s.dict.(morpher)
 	}
 	if in, ok := s.dict.(interface{ Incr(string, int64) int64 }); ok {
 		s.incr = in.Incr
@@ -519,23 +509,16 @@ func (e *engine) abort() {
 // its write member, so reads keep riding batches there instead of
 // cutting every pipelined run in two.
 func (e *engine) canBypass(cmd Command) bool {
-	switch cmd.Op {
-	case OpGet:
-		if e.bypassSet {
-			return true
-		}
-		if e.bypassDynSet {
-			rt := e.router.Load()
-			return rt.shard(keyShard(cmd.ShardKey(), rt.n())).adSet.BypassOK()
-		}
-	case OpHGet:
-		if e.bypassMap {
-			return true
-		}
-		if e.bypassDynMap {
-			rt := e.router.Load()
-			return rt.shard(keyShard(cmd.ShardKey(), rt.n())).adMap.BypassOK()
-		}
+	info := &ops[cmd.Op]
+	if !info.read {
+		return false
+	}
+	switch e.bypass[info.family] {
+	case bypassOn:
+		return true
+	case bypassAdaptive:
+		rt := e.router.Load()
+		return rt.shard(keyShard(cmd.ShardKey(), rt.n())).ad[info.family].BypassOK()
 	}
 	return false
 }
@@ -589,8 +572,8 @@ func (e *engine) readLocal(cmd Command) (reply, bool) {
 			return errReply("key %d is reserved", cmd.Arg), true
 		}
 		var member bool
-		if s.adSet != nil {
-			member, served = s.adSet.TryContains(int(cmd.Arg))
+		if ad, isAd := s.set.(*adaptive.Set); isAd {
+			member, served = ad.TryContains(int(cmd.Arg))
 		} else {
 			member = s.set.Contains(int(cmd.Arg))
 		}
@@ -598,8 +581,8 @@ func (e *engine) readLocal(cmd Command) (reply, bool) {
 	case OpHGet:
 		var v int64
 		var ok bool
-		if s.adMap != nil {
-			v, ok, served = s.adMap.TryGet(cmd.Key)
+		if ad, isAd := s.dict.(*adaptive.Map); isAd {
+			v, ok, served = ad.TryGet(cmd.Key)
 		} else {
 			v, ok = s.dict.Get(cmd.Key)
 		}
@@ -736,7 +719,7 @@ func (e *engine) redispatch(b *batch) []reply {
 // one real clock call, amortized over a parse-ahead round or clockEvery
 // executed commands.
 func (e *engine) refreshCoarse() int64 {
-	v := e.now().Sub(e.epoch).Nanoseconds()
+	v := e.opts.clock().Sub(e.epoch).Nanoseconds()
 	e.coarse.Store(v)
 	return v
 }
@@ -887,14 +870,13 @@ func (e *engine) applyBatch(s *shard, b *batch, now *int64, stale *int) {
 // serializes every writer, so a Tick that decides to morph migrates a
 // structure with zero concurrent mutators. No-op unless morphing is on.
 func (e *engine) afterBatch(s *shard) {
-	if !e.morphOn {
+	if e.opts.Morph != "on" {
 		return
 	}
-	if s.adSet != nil {
-		s.adSet.Tick()
-	}
-	if s.adMap != nil {
-		s.adMap.Tick()
+	for _, m := range s.ad {
+		if m != nil {
+			m.Tick()
+		}
 	}
 }
 
@@ -902,11 +884,10 @@ func (e *engine) afterBatch(s *shard) {
 func (e *engine) morphFlips() int64 {
 	var flips int64
 	for _, s := range e.allShards() {
-		if s.adSet != nil {
-			flips += s.adSet.Flips()
-		}
-		if s.adMap != nil {
-			flips += s.adMap.Flips()
+		for _, m := range s.ad {
+			if m != nil {
+				flips += m.Flips()
+			}
 		}
 	}
 	return flips
@@ -919,7 +900,8 @@ func (e *engine) execute(s *shard, cmd Command) reply {
 	if e.applyHook != nil {
 		e.applyHook(cmd)
 	}
-	if cmd.Op.ReadPure() {
+	info := &ops[cmd.Op]
+	if info.read {
 		e.readMailbox.Inc()
 	}
 	switch cmd.Op {
@@ -948,39 +930,26 @@ func (e *engine) execute(s *shard, cmd Command) reply {
 	case OpHIncr:
 		return reply{status: stInt, val: s.incr(cmd.Key, cmd.Arg)}
 
-	case OpPush:
-		e.stack.push(cmd.Arg)
-		return reply{status: stOK}
-	case OpPop:
-		return valueReply(e.stack.pop())
-
-	case OpEnq:
-		if err := e.queue.enq(cmd.Arg); err == errFull {
-			return reply{status: stFull}
-		} else if err != nil {
-			return errReply("%v", err)
-		}
-		return reply{status: stOK}
-	case OpDeq:
-		return valueReply(e.queue.deq())
-
 	case OpInc:
 		return reply{status: stInt, val: e.counter.inc(s.id)}
 	case OpRead:
 		return reply{status: stInt, val: e.counter.read()}
+	}
 
-	case OpPQAdd:
-		if err := e.pq.add(cmd.Arg); err == errFull {
-			return reply{status: stFull}
-		} else if err != nil {
-			return errReply("%v", err)
-		}
-		return reply{status: stOK}
-	case OpPQMin:
-		return valueReply(e.pq.removeMin())
-
-	default:
+	// What is left is a pool verb: the row says which pool, and which half.
+	if info.family < famQueue || info.family > famPQ {
 		return errReply("cannot execute %s", cmd.Op)
+	}
+	if !info.put {
+		return valueReply(e.pools[info.family].get())
+	}
+	switch err := e.pools[info.family].put(cmd.Arg); err {
+	case nil:
+		return reply{status: stOK}
+	case errFull:
+		return reply{status: stFull}
+	default:
+		return errReply("%v", err)
 	}
 }
 
@@ -989,13 +958,6 @@ func valueReply(v int64, ok bool) reply {
 		return reply{status: stEmpty}
 	}
 	return reply{status: stInt, val: v}
-}
-
-func onOff(b bool) string {
-	if b {
-		return "on"
-	}
-	return "off"
 }
 
 func boolInt(b bool) int64 {
@@ -1011,22 +973,9 @@ func boolInt(b bool) int64 {
 // shard atomicity comes from the STM commit protocol, so the buffer
 // never travels through the shard mailboxes at all.
 func (e *engine) execTxn(staged []Command) []reply {
-	ops := make([]txn.Op, len(staged))
+	tops := make([]txn.Op, len(staged))
 	for i, cmd := range staged {
-		switch cmd.Op {
-		case OpHGet:
-			ops[i] = txn.Op{Kind: txn.Get, Key: cmd.Key}
-		case OpHSet:
-			ops[i] = txn.Op{Kind: txn.Set, Key: cmd.Key, Val: cmd.Arg}
-		case OpHDel:
-			ops[i] = txn.Op{Kind: txn.Del, Key: cmd.Key}
-		case OpHIncr:
-			ops[i] = txn.Op{Kind: txn.Incr, Key: cmd.Key, Val: cmd.Arg}
-		case OpInc:
-			ops[i] = txn.Op{Kind: txn.CtrInc}
-		case OpRead:
-			ops[i] = txn.Op{Kind: txn.CtrRead}
-		}
+		tops[i] = txn.Op{Kind: ops[cmd.Op].kind, Key: cmd.Key, Val: cmd.Arg}
 	}
 	// The read side of ksGate lets a quiescing snapshot (which already
 	// holds every shard combiner, freezing all other keyspace writers)
@@ -1034,20 +983,16 @@ func (e *engine) execTxn(staged []Command) []reply {
 	// connection goroutine. Held only around the commit; Exec never waits
 	// on a shard, so this cannot deadlock against the quiesce lock order.
 	e.ksGate.RLock()
-	results := e.ks.Exec(ops)
+	results := e.ks.Exec(tops)
 	e.ksGate.RUnlock()
 	replies := make([]reply, len(staged))
 	for i, res := range results {
-		switch staged[i].Op {
-		case OpHGet:
-			if !res.Flag {
-				replies[i] = reply{status: stEmpty}
-			} else {
-				replies[i] = reply{status: stInt, val: res.Val}
-			}
-		case OpHSet, OpHDel:
+		switch tops[i].Kind {
+		case txn.Get:
+			replies[i] = valueReply(res.Val, res.Flag)
+		case txn.Set, txn.Del:
 			replies[i] = reply{status: stInt, val: boolInt(res.Flag)}
-		default: // OpHIncr, OpInc, OpRead
+		default: // Incr, CtrInc, CtrRead
 			replies[i] = reply{status: stInt, val: res.Val}
 		}
 	}
@@ -1074,8 +1019,7 @@ func (e *engine) statsBody() string {
 	} else {
 		sb.WriteString("txn off\n")
 	}
-	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", e.bypassState(e.bypassSet, e.bypassDynSet),
-		e.bypassState(e.bypassMap, e.bypassDynMap))
+	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", e.bypass[famSet], e.bypass[famMap])
 	sb.WriteString(e.morphLines())
 	fmt.Fprintf(&sb, "mailbox depth=%d spin-budget=%d\n", shardQueueDepth, e.router.Load().shard(0).mbox.SpinBudget())
 	sb.WriteString(e.batchSizes.Format("shard.batch"))
@@ -1101,16 +1045,6 @@ func (e *engine) snapLine() string {
 		saves, fails, age.Round(time.Millisecond), e.snapBytes.Load())
 }
 
-// bypassState renders one family's read-bypass column: the static
-// capability is on/off; the adaptive backends report "adaptive" — the
-// bypass follows each shard's live member.
-func (e *engine) bypassState(static, dynamic bool) string {
-	if dynamic {
-		return "adaptive"
-	}
-	return onOff(static)
-}
-
 // morphLines renders the adaptive-morphing STATS block: one state line
 // for the two keyed families, then one row per morph edge taken. Fixed
 // backends report state "fixed"; an adaptive family reports its shards'
@@ -1118,24 +1052,20 @@ func (e *engine) bypassState(static, dynamic bool) string {
 func (e *engine) morphLines() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "morph mode=%s every=%d set=%s map=%s flips=%d\n",
-		e.opts.Morph, e.opts.MorphEvery, e.morphState(true), e.morphState(false), e.morphFlips())
-	sb.WriteString(e.morphEdges("set", true))
-	sb.WriteString(e.morphEdges("map", false))
+		e.opts.Morph, e.opts.MorphEvery, e.morphState(famSet), e.morphState(famMap), e.morphFlips())
+	sb.WriteString(e.morphEdges(famSet))
+	sb.WriteString(e.morphEdges(famMap))
 	return sb.String()
 }
 
-// morphState renders one family's live-member census.
-func (e *engine) morphState(set bool) string {
+// morphState renders one keyed family's live-member census.
+func (e *engine) morphState(f family) string {
 	counts := make(map[string]int)
 	for _, s := range e.allShards() {
-		switch {
-		case set && s.adSet != nil:
-			counts[s.adSet.Current()]++
-		case !set && s.adMap != nil:
-			counts[s.adMap.Current()]++
-		default:
+		if s.ad[f] == nil {
 			return "fixed"
 		}
+		counts[s.ad[f].Current()]++
 	}
 	names := make([]string, 0, len(counts))
 	for n := range counts {
@@ -1149,19 +1079,15 @@ func (e *engine) morphState(set bool) string {
 	return "adaptive(" + strings.Join(parts, " ") + ")"
 }
 
-// morphEdges renders one family's morph-transition rows, aggregated over
-// shards and sorted by edge.
-func (e *engine) morphEdges(family string, set bool) string {
+// morphEdges renders one keyed family's morph-transition rows, aggregated
+// over shards and sorted by edge.
+func (e *engine) morphEdges(f family) string {
 	agg := make(map[[2]string]int64)
 	for _, s := range e.allShards() {
-		var trans []adaptive.Transition
-		switch {
-		case set && s.adSet != nil:
-			trans = s.adSet.Transitions()
-		case !set && s.adMap != nil:
-			trans = s.adMap.Transitions()
+		if s.ad[f] == nil {
+			break
 		}
-		for _, t := range trans {
+		for _, t := range s.ad[f].Transitions() {
 			agg[[2]string{t.From, t.To}] += t.N
 		}
 	}
@@ -1177,7 +1103,7 @@ func (e *engine) morphEdges(family string, set bool) string {
 	})
 	var sb strings.Builder
 	for _, k := range edges {
-		fmt.Fprintf(&sb, "morph %s=%s→%s n=%d\n", family, k[0], k[1], agg[k])
+		fmt.Fprintf(&sb, "morph %s=%s→%s n=%d\n", f, k[0], k[1], agg[k])
 	}
 	return sb.String()
 }

@@ -73,6 +73,11 @@
 // live — traffic keeps flowing while each shard splits — up to the
 // -max-shards bound; only exact doubling is accepted. None of the four
 // may be staged in a MULTI window.
+//
+// Adding a verb is one Op constant and one row of the ops table below:
+// spelling, argument shape, family, metric row and transactional staging
+// all live there, and the parser, the engine and the connection loop read
+// them from it.
 package server
 
 import (
@@ -80,6 +85,7 @@ import (
 	"fmt"
 
 	"amp/internal/strmap"
+	"amp/internal/txn"
 )
 
 // Op enumerates the protocol commands.
@@ -135,83 +141,116 @@ const (
 	argKeyInt                // verb + string token + decimal
 )
 
-// opInfo describes one verb.
+// family names the abstract object a verb addresses. The two keyed
+// families come first so per-family engine state is a [2] array indexed by
+// them; the three pools (§10.1) are contiguous for the same reason.
+type family uint8
+
+const (
+	famSet family = iota
+	famMap
+	famQueue
+	famStack
+	famPQ
+	famCounter
+	famNone // control verbs: answered by the connection loop, never executed
+)
+
+var familyNames = [...]string{"set", "map", "queue", "stack", "pqueue", "counter", "none"}
+
+func (f family) String() string { return familyNames[f] }
+
+// opInfo is everything the server knows about one verb.
 type opInfo struct {
-	op  Op
-	arg argKind
+	verb   string
+	arg    argKind
+	family family
+	put    bool     // pool families: the put() half; the other verb is get()
+	read   bool     // keyed point read: the wait-free bypass candidates
+	metric string   // metrics registry row; "" for the unmeasured control verbs
+	stage  bool     // may be queued inside a MULTI window, as kind
+	kind   txn.Kind // meaningful only with stage
+}
+
+// ops is the verb table, one row per Op: the single place a verb is
+// declared.
+var ops = [numOps]opInfo{
+	OpInvalid: {verb: "INVALID", family: famNone},
+
+	OpSet: {verb: "SET", arg: argInt, family: famSet, metric: "set.add"},
+	OpGet: {verb: "GET", arg: argInt, family: famSet, metric: "set.contains", read: true},
+	OpDel: {verb: "DEL", arg: argInt, family: famSet, metric: "set.remove"},
+
+	OpHSet:  {verb: "HSET", arg: argKeyInt, family: famMap, metric: "map.set", stage: true, kind: txn.Set},
+	OpHGet:  {verb: "HGET", arg: argKey, family: famMap, metric: "map.get", stage: true, kind: txn.Get, read: true},
+	OpHDel:  {verb: "HDEL", arg: argKey, family: famMap, metric: "map.del", stage: true, kind: txn.Del},
+	OpHIncr: {verb: "HINCR", arg: argKeyInt, family: famMap, metric: "map.incr", stage: true, kind: txn.Incr},
+
+	OpPush:  {verb: "PUSH", arg: argInt, family: famStack, metric: "stack.push", put: true},
+	OpPop:   {verb: "POP", family: famStack, metric: "stack.pop"},
+	OpEnq:   {verb: "ENQ", arg: argInt, family: famQueue, metric: "queue.enq", put: true},
+	OpDeq:   {verb: "DEQ", family: famQueue, metric: "queue.deq"},
+	OpPQAdd: {verb: "PQADD", arg: argInt, family: famPQ, metric: "pqueue.add", put: true},
+	OpPQMin: {verb: "PQMIN", family: famPQ, metric: "pqueue.min"},
+
+	OpInc:  {verb: "INC", family: famCounter, metric: "counter.inc", stage: true, kind: txn.CtrInc},
+	OpRead: {verb: "READ", family: famCounter, metric: "counter.read", stage: true, kind: txn.CtrRead},
+
+	OpStats:   {verb: "STATS", family: famNone},
+	OpPing:    {verb: "PING", family: famNone},
+	OpQuit:    {verb: "QUIT", family: famNone},
+	OpMulti:   {verb: "MULTI", family: famNone},
+	OpExec:    {verb: "EXEC", family: famNone},
+	OpDiscard: {verb: "DISCARD", family: famNone},
+	OpTxStats: {verb: "TXSTATS", family: famNone},
+	OpSave:    {verb: "SAVE", family: famNone},
+	OpBGSave:  {verb: "BGSAVE", family: famNone},
+	OpRestore: {verb: "RESTORE", arg: argKey, family: famNone}, // the key token is a filename under -snapshot-dir
+	OpReshard: {verb: "RESHARD", arg: argInt, family: famNone},
 }
 
 // verbs maps the canonical (upper-case) verb to its op. Lookup is done on
 // an ASCII-uppercased copy, making verbs case-insensitive.
-var verbs = map[string]opInfo{
-	"SET":   {OpSet, argInt},
-	"GET":   {OpGet, argInt},
-	"DEL":   {OpDel, argInt},
-	"HSET":  {OpHSet, argKeyInt},
-	"HGET":  {OpHGet, argKey},
-	"HDEL":  {OpHDel, argKey},
-	"HINCR": {OpHIncr, argKeyInt},
-	"PUSH":  {OpPush, argInt},
-	"POP":   {OpPop, argNone},
-	"ENQ":   {OpEnq, argInt},
-	"DEQ":   {OpDeq, argNone},
-	"INC":   {OpInc, argNone},
-	"READ":  {OpRead, argNone},
-	"PQADD": {OpPQAdd, argInt},
-	"PQMIN": {OpPQMin, argNone},
-	"STATS": {OpStats, argNone},
-	"PING":  {OpPing, argNone},
-	"QUIT":  {OpQuit, argNone},
-
-	"MULTI":   {OpMulti, argNone},
-	"EXEC":    {OpExec, argNone},
-	"DISCARD": {OpDiscard, argNone},
-	"TXSTATS": {OpTxStats, argNone},
-
-	"SAVE":    {OpSave, argNone},
-	"BGSAVE":  {OpBGSave, argNone},
-	"RESTORE": {OpRestore, argKey}, // the key token is a filename under -snapshot-dir
-	"RESHARD": {OpReshard, argInt},
-}
-
-// opNames is the inverse of verbs, for error messages.
-var opNames = func() [numOps]string {
-	var names [numOps]string
-	names[OpInvalid] = "INVALID"
-	for verb, info := range verbs {
-		names[info.op] = verb
+var verbs = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for op := OpInvalid + 1; op < numOps; op++ {
+		m[ops[op].verb] = op
 	}
-	return names
+	return m
 }()
+
+// info returns the op's table row (OpInvalid's for a value out of range).
+func (o Op) info() *opInfo {
+	if o >= numOps {
+		o = OpInvalid
+	}
+	return &ops[o]
+}
 
 // String returns the canonical verb.
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	if o >= numOps {
+		return fmt.Sprintf("Op(%d)", uint8(o))
 	}
-	return fmt.Sprintf("Op(%d)", uint8(o))
+	return ops[o].verb
 }
 
 // HasArg reports whether the op carries an integer argument.
 func (o Op) HasArg() bool {
-	k := verbs[o.String()].arg
+	k := o.info().arg
 	return k == argInt || k == argKeyInt
 }
 
 // StringKeyed reports whether the op addresses the string-keyed map
 // family: its routing key is a string token, hashed into the int key
 // space for shard selection.
-func (o Op) StringKeyed() bool {
-	return o == OpHSet || o == OpHGet || o == OpHDel || o == OpHIncr
-}
+func (o Op) StringKeyed() bool { return o.info().family == famMap }
 
 // Stageable reports whether the op may be queued inside a MULTI window:
 // the transactional keyspace families (string map and counter). Staging
 // anything else — structures without transactional backing, or control
 // verbs — dirties the transaction so EXEC refuses it.
-func (o Op) Stageable() bool {
-	return o.StringKeyed() || o == OpInc || o == OpRead
-}
+func (o Op) Stageable() bool { return o.info().stage }
 
 // MaxTxnOps bounds the commands staged in one MULTI window, so a client
 // cannot grow an unbounded buffer (or an unboundedly long commit) on the
@@ -223,17 +262,13 @@ const MaxTxnOps = 128
 // shard owning their key; unkeyed commands run against shared structures
 // and may execute on any shard, which is what lets a pipelined batch ride
 // along with whatever run is already open.
-func (o Op) Keyed() bool {
-	return o == OpSet || o == OpGet || o == OpDel || o.StringKeyed()
-}
+func (o Op) Keyed() bool { return o.info().family <= famMap }
 
 // ReadPure reports whether the op observes state without mutating it and
 // addresses a single key: the candidates for the wait-free read bypass.
 // Only keyed point reads qualify — READ and TXSTATS are global, STATS has
 // a multi-line reply, and every other verb mutates.
-func (o Op) ReadPure() bool {
-	return o == OpGet || o == OpHGet
-}
+func (o Op) ReadPure() bool { return o.info().read }
 
 // Command is one parsed protocol line.
 type Command struct {
@@ -323,19 +358,19 @@ func ParseCommand(line []byte) (Command, error) {
 		}
 		vb[i] = b
 	}
-	info, ok := verbs[string(vb[:len(v)])]
+	op, ok := verbs[string(vb[:len(v)])]
 	if !ok {
 		return Command{}, fmt.Errorf("unknown command %q", string(vb[:len(v)]))
 	}
-	cmd := Command{Op: info.op}
-	switch info.arg {
+	cmd := Command{Op: op}
+	switch ops[op].arg {
 	case argNone:
 		if ntok != 1 {
-			return Command{}, fmt.Errorf("%s takes no argument", info.op)
+			return Command{}, fmt.Errorf("%s takes no argument", op)
 		}
 	case argInt:
 		if ntok != 2 {
-			return Command{}, fmt.Errorf("%s needs exactly one integer argument", info.op)
+			return Command{}, fmt.Errorf("%s needs exactly one integer argument", op)
 		}
 		arg, ok := parseInt(tok[1])
 		if !ok {
@@ -344,12 +379,12 @@ func ParseCommand(line []byte) (Command, error) {
 		cmd.Arg = arg
 	case argKey:
 		if ntok != 2 {
-			return Command{}, fmt.Errorf("%s needs exactly one key", info.op)
+			return Command{}, fmt.Errorf("%s needs exactly one key", op)
 		}
 		cmd.Key = string(tok[1])
 	case argKeyInt:
 		if ntok != 3 {
-			return Command{}, fmt.Errorf("%s needs a key and an integer value", info.op)
+			return Command{}, fmt.Errorf("%s needs a key and an integer value", op)
 		}
 		arg, ok := parseInt(tok[2])
 		if !ok {
@@ -408,35 +443,4 @@ func upperVerb(v []byte) string {
 		up[i] = b
 	}
 	return string(up)
-}
-
-// metricNames maps each data-plane op to its metrics registry key; control
-// ops (STATS, PING, QUIT) are not measured.
-var metricNames = [numOps]string{
-	OpSet:   "set.add",
-	OpGet:   "set.contains",
-	OpDel:   "set.remove",
-	OpHSet:  "map.set",
-	OpHGet:  "map.get",
-	OpHDel:  "map.del",
-	OpHIncr: "map.incr",
-	OpPush:  "stack.push",
-	OpPop:   "stack.pop",
-	OpEnq:   "queue.enq",
-	OpDeq:   "queue.deq",
-	OpInc:   "counter.inc",
-	OpRead:  "counter.read",
-	OpPQAdd: "pqueue.add",
-	OpPQMin: "pqueue.min",
-}
-
-// allMetricNames lists the measured ops in protocol order.
-func allMetricNames() []string {
-	var names []string
-	for _, n := range metricNames {
-		if n != "" {
-			names = append(names, n)
-		}
-	}
-	return names
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -90,6 +91,99 @@ func TestParseCommandTooLong(t *testing.T) {
 	}
 }
 
+// TestOpTable checks the verb table against itself and against the
+// hard-coded lists the six Op methods were before the table existed,
+// written out here as the reference.
+func TestOpTable(t *testing.T) {
+	verbsRef := []string{"SET", "GET", "DEL", "HSET", "HGET", "HDEL", "HINCR", "PUSH", "POP",
+		"ENQ", "DEQ", "INC", "READ", "PQADD", "PQMIN", "STATS", "PING", "QUIT",
+		"MULTI", "EXEC", "DISCARD", "TXSTATS", "SAVE", "BGSAVE", "RESTORE", "RESHARD"}
+	set := func(ops ...Op) map[Op]bool {
+		m := make(map[Op]bool)
+		for _, o := range ops {
+			m[o] = true
+		}
+		return m
+	}
+	hasArg := set(OpSet, OpGet, OpDel, OpHSet, OpHIncr, OpPush, OpEnq, OpPQAdd, OpReshard)
+	stringKeyed := set(OpHSet, OpHGet, OpHDel, OpHIncr)
+	stageable := set(OpHSet, OpHGet, OpHDel, OpHIncr, OpInc, OpRead)
+	keyed := set(OpSet, OpGet, OpDel, OpHSet, OpHGet, OpHDel, OpHIncr)
+	readPure := set(OpGet, OpHGet)
+	// STATS prints the op rows in this order.
+	metricsRef := []string{"set.add", "set.contains", "set.remove", "map.set", "map.get", "map.del",
+		"map.incr", "stack.push", "stack.pop", "queue.enq", "queue.deq", "counter.inc", "counter.read",
+		"pqueue.add", "pqueue.min"}
+
+	if int(numOps)-1 != len(verbsRef) {
+		t.Fatalf("numOps-1 = %d, reference lists %d verbs", numOps-1, len(verbsRef))
+	}
+	var metrics []string
+	puts, gets := map[family]int{}, map[family]int{}
+	for op := OpInvalid + 1; op < numOps; op++ {
+		info := ops[op]
+		if op.String() != verbsRef[op-1] || len(info.verb) > maxVerbLen {
+			t.Errorf("Op %d is %q, want %q within %d bytes", op, op, verbsRef[op-1], maxVerbLen)
+		}
+		// The verb round-trips through the parser with its argument shape.
+		line := strings.ToLower(info.verb) + map[argKind]string{argInt: " 4", argKey: " k", argKeyInt: " k 4"}[info.arg]
+		want := Command{Op: op}
+		if info.arg == argInt || info.arg == argKeyInt {
+			want.Arg = 4
+		}
+		if info.arg == argKey || info.arg == argKeyInt {
+			want.Key = "k"
+		}
+		if got, err := ParseCommand([]byte(line)); err != nil || got != want {
+			t.Errorf("ParseCommand(%q) = %+v, %v; want %+v", line, got, err, want)
+		}
+		for name, p := range map[string][2]bool{
+			"HasArg":      {op.HasArg(), hasArg[op]},
+			"StringKeyed": {op.StringKeyed(), stringKeyed[op]},
+			"Stageable":   {op.Stageable(), stageable[op]},
+			"Keyed":       {op.Keyed(), keyed[op]},
+			"ReadPure":    {op.ReadPure(), readPure[op]},
+		} {
+			if p[0] != p[1] {
+				t.Errorf("%s.%s() = %v, want %v", op, name, p[0], p[1])
+			}
+		}
+		if data := info.family != famNone; data != (info.metric != "") {
+			t.Errorf("%s: family %s with metric row %q", op, info.family, info.metric)
+		}
+		if info.metric != "" {
+			metrics = append(metrics, info.metric)
+		}
+		if info.stage && info.family != famMap && info.family != famCounter {
+			t.Errorf("%s is stageable but addresses the %s family", op, info.family)
+		}
+		if pooled := info.family >= famQueue && info.family <= famPQ; pooled && info.put {
+			puts[info.family]++
+		} else if pooled {
+			gets[info.family]++
+		} else if info.put {
+			t.Errorf("%s is a put on the %s family, not a pool", op, info.family)
+		}
+	}
+	if !slices.Equal(metrics, metricsRef) {
+		t.Errorf("metric rows %v, want %v", metrics, metricsRef)
+	}
+	for f := famQueue; f <= famPQ; f++ {
+		if puts[f] != 1 || gets[f] != 1 {
+			t.Errorf("pool %s has %d put and %d get verbs, want one each", f, puts[f], gets[f])
+		}
+	}
+	// Values outside the table answer like OpInvalid and never index it.
+	for _, op := range []Op{OpInvalid, numOps, 200} {
+		if op.HasArg() || op.StringKeyed() || op.Stageable() || op.Keyed() || op.ReadPure() {
+			t.Errorf("Op(%d) satisfies a predicate", uint8(op))
+		}
+	}
+	if got := Op(200).String(); got != "Op(200)" {
+		t.Errorf("Op(200).String() = %q", got)
+	}
+}
+
 // Reply expectations for FuzzPipeline, mirroring the framing rules of
 // Server.handle and serveBatch.
 const (
@@ -147,9 +241,10 @@ func simulatePipeline(data []byte, txnOff bool) (exps []pipeExpect, consume int)
 	return exps, len(data)
 }
 
-// pipeSim mirrors the per-connection MULTI window state machine of
-// Server.serveBatch and serveTxnLine, so the oracle stays line-accurate
-// through transactions. With txnOff the four transaction verbs answer
+// pipeSim mirrors the per-connection MULTI window state machine of the
+// connection loop (Server.control, txnVerb and stage) in its own words —
+// two switches, one per window state, where the server has one — so the
+// oracle stays line-accurate through transactions. With txnOff the four transaction verbs answer
 // ERR and no window ever opens — the -txn off server config FuzzPipeline
 // runs on even chunk bytes. Reply counts and order are identical whether
 // a read rides the mailbox or the wait-free bypass, which is exactly the
@@ -273,6 +368,14 @@ func FuzzPipeline(f *testing.F) {
 		"HSET k 1\nHGET k\nSET 3\nGET 3\nHGET k\nHDEL k\nHGET k\nQUIT\n",            // both read families, then QUIT
 		"MULTI\nHSET k 9\nHGET k\nEXEC\nHGET k\nGET 5\nMULTI\nSET 5\nEXEC\nGET 5\n", // reads inside and after MULTI
 		"GET 1\nGET 1\nGET 1\nHGET h\nHSET h 2\nHGET h\nMULTI\nHDEL h\nEXEC\nHGET h\nQUIT\n",
+		// Control verbs mixed into windows: the durability verbs poison,
+		// the connection and transaction verbs answer in place, a parse
+		// error poisons, and the next window starts clean.
+		"MULTI\nSAVE\nBGSAVE\nRESTORE x\nRESHARD 4\nPING\nTXSTATS\nEXEC\nPING\n",
+		"MULTI\nFROB\nDISCARD\nMULTI\nHSET k 1\nSTATS\nTXSTATS\nEXEC\nDISCARD\n",
+		"MULTI\nRESHARD 4\nDISCARD\nMULTI\nINC\nEXEC\nEXEC\nQUIT\n",
+		"TXSTATS\nMULTI\nMULTI\nDISCARD\nDISCARD\nMULTI\nQUIT\nEXEC\n",
+		"MULTI\nPING\nHSET\nPING\nEXEC\nMULTI\nPING\nREAD\nSTATS\nEXEC\nRESTORE a/b\n",
 		// Mailbox pressure: deep pipelines of same-shard keyed runs (one
 		// key → one shard → maximal contiguous batches through one mailbox),
 		// with QUIT cutting the burst so accepted-but-unanswered lines
@@ -286,6 +389,7 @@ func FuzzPipeline(f *testing.F) {
 	for i, s := range seeds {
 		f.Add([]byte(s), byte(i*7+1))
 	}
+	snapDir := f.TempDir() // where a fuzzed SAVE or BGSAVE lands
 	f.Fuzz(func(t *testing.T, data []byte, chunk byte) {
 		if len(data) > 2048 {
 			data = data[:2048]
@@ -296,10 +400,13 @@ func FuzzPipeline(f *testing.F) {
 		// off the MULTI verbs answer ERR. Odd bytes keep the default
 		// engine (striped set — GET on the mailbox — and HGET bypassing
 		// via the tl2 keyspace), so both read paths face the same oracle.
+		// MaxShards leaves RESHARD no headroom: outside a window it answers
+		// ERR instead of starting shard goroutines the leak check below
+		// would count against the connection.
 		txnOff := chunk%2 == 0
-		opts := Options{Shards: 2}
+		opts := Options{Shards: 2, MaxShards: 2, SnapshotDir: snapDir}
 		if txnOff {
-			opts = Options{Shards: 2, Set: "skip-epoch", Map: "epoch", Txn: "off"}
+			opts.Set, opts.Map, opts.Txn = "skip-epoch", "epoch", "off"
 		}
 		exps, consume := simulatePipeline(data, txnOff)
 

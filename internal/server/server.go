@@ -314,8 +314,9 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 // bypass and mailbox replies exactly as the lines arrived, even though
 // the reads never visited a mailbox.
 //
-// The caller flushes the writer; the return is false when the connection
-// must close (write error, QUIT, or engine shutdown).
+// The caller flushes the writer, which is where a write error surfaces
+// (see reply); the return is false when the connection must close for
+// another reason: QUIT, or engine shutdown.
 func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) bool {
 	b := getBatch()
 	defer putBatch(b)
@@ -347,16 +348,12 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 		if !ok {
 			// Aborted shutdown: still answer each accepted command.
 			for range b.cmds {
-				if !s.reply(w, errReply("server shutting down")) {
-					return false
-				}
+				s.reply(w, errReply("server shutting down"))
 			}
 			return false
 		}
 		for _, r := range replies {
-			if !s.reply(w, r) {
-				return false
-			}
+			s.reply(w, r)
 		}
 		b.reset()
 		shard = -1
@@ -364,97 +361,25 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 	}
 
 	for _, it := range items {
-		if ts.active {
-			// Inside a MULTI window the run is always empty (MULTI cut
-			// it), so staged lines reply in place with no flushRun.
-			if !s.serveTxnLine(w, it, ts) {
-				return false
-			}
-			continue
-		}
-		if it.err != nil {
+		info := &ops[it.cmd.Op]
+		switch {
+		case it.err != nil || info.family == famNone:
+			// Parse errors and control verbs answer in position, after the
+			// open run (inside a MULTI window there is none: MULTI cut it).
+			// The control verbs execute inline on the connection goroutine:
+			// they must observe this connection's earlier commands.
 			if !flushRun() {
 				return false
 			}
-			if !s.reply(w, errReply("%v", it.err)) {
+			if it.err != nil {
+				ts.dirty = ts.active // poisons an open window
+				s.reply(w, errReply("%v", it.err))
+			} else if !s.control(w, it.cmd, ts) {
 				return false
 			}
-			continue
-		}
-		switch it.cmd.Op {
-		case OpQuit:
-			if flushRun() {
-				s.reply(w, reply{status: stOK})
-			}
-			return false
-		case OpPing:
-			if !flushRun() || !s.replyRaw(w, "PONG") {
-				return false
-			}
-		case OpStats:
-			if !flushRun() || !s.replyRaw(w, s.eng.statsBody()+"END") {
-				return false
-			}
-		case OpMulti:
-			if !flushRun() {
-				return false
-			}
-			if s.eng.ks == nil {
-				if !s.reply(w, errReply("transactions disabled (-txn off)")) {
-					return false
-				}
-				continue
-			}
-			ts.active = true
-			if !s.reply(w, reply{status: stOK}) {
-				return false
-			}
-		case OpExec, OpDiscard:
-			if !flushRun() {
-				return false
-			}
-			msg := fmt.Sprintf("%s without MULTI", it.cmd.Op)
-			if s.eng.ks == nil {
-				msg = "transactions disabled (-txn off)"
-			}
-			if !s.reply(w, errReply("%s", msg)) {
-				return false
-			}
-		case OpTxStats:
-			if !flushRun() {
-				return false
-			}
-			if s.eng.ks == nil {
-				if !s.reply(w, errReply("transactions disabled (-txn off)")) {
-					return false
-				}
-				continue
-			}
-			if !s.replyRaw(w, s.eng.txStatsLine()) {
-				return false
-			}
-		// The durability/elasticity verbs execute inline on the connection
-		// goroutine, after the open run flushes (they must observe this
-		// connection's earlier commands, and a reshard invalidates the
-		// batch's pinned routing anyway). They also refresh the cached
-		// router: a successful RESHARD changes the topology mid-batch.
-		case OpSave:
-			if !flushRun() || !s.reply(w, s.eng.save()) {
-				return false
-			}
-		case OpBGSave:
-			if !flushRun() || !s.reply(w, s.eng.bgsave()) {
-				return false
-			}
-		case OpRestore:
-			if !flushRun() || !s.reply(w, s.eng.restoreFrom(it.cmd.Key)) {
-				return false
-			}
-		case OpReshard:
-			if !flushRun() || !s.reply(w, s.eng.doReshard(int(it.cmd.Arg))) {
-				return false
-			}
-			rt = s.eng.router.Load()
+			rt = s.eng.router.Load() // a RESHARD changes the topology mid-batch
+		case ts.active:
+			s.stage(w, it.cmd, ts)
 		default:
 			if s.eng.canBypass(it.cmd) {
 				if !flushRun() {
@@ -464,13 +389,11 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 				// read-optimized member under us: fall through and let the
 				// read join a run like any mailbox read.
 				if r, served := s.eng.readLocal(it.cmd); served {
-					if !s.reply(w, r) {
-						return false
-					}
+					s.reply(w, r)
 					continue
 				}
 			}
-			if it.cmd.Op.Keyed() {
+			if info.family <= famMap {
 				si := keyShard(it.cmd.ShardKey(), rt.n())
 				if shard >= 0 && si != shard && !flushRun() {
 					return false
@@ -483,64 +406,96 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 	return flushRun()
 }
 
-// serveTxnLine answers one line inside an open MULTI window: stageable
-// commands queue, control commands execute in place, everything else
-// poisons the window. false closes the connection (QUIT or write error).
-func (s *Server) serveTxnLine(w *bufio.Writer, it lineItem, ts *txnState) bool {
-	if it.err != nil {
-		ts.dirty = true
-		return s.reply(w, errReply("%v", it.err))
-	}
-	switch op := it.cmd.Op; op {
-	case OpMulti:
-		ts.dirty = true
-		return s.reply(w, errReply("MULTI calls cannot be nested"))
-	case OpExec:
-		if ts.dirty {
-			ts.reset()
-			return s.reply(w, errReply("EXEC aborted (errors while queueing)"))
-		}
-		replies := s.eng.execTxn(ts.staged)
-		ts.reset()
-		if !s.replyRaw(w, "*"+strconv.Itoa(len(replies))) {
-			return false
-		}
-		for _, r := range replies {
-			if !s.reply(w, r) {
-				return false
-			}
-		}
-		return true
-	case OpDiscard:
-		ts.reset()
-		return s.reply(w, reply{status: stOK})
+// control answers one control verb, inside a MULTI window or out; false
+// closes the connection (QUIT).
+func (s *Server) control(w *bufio.Writer, cmd Command, ts *txnState) bool {
+	switch cmd.Op {
 	case OpQuit:
 		ts.reset()
 		s.reply(w, reply{status: stOK})
 		return false
 	case OpPing:
-		return s.replyRaw(w, "PONG")
+		s.replyRaw(w, "PONG")
 	case OpStats:
-		return s.replyRaw(w, s.eng.statsBody()+"END")
-	case OpTxStats:
-		return s.replyRaw(w, s.eng.txStatsLine())
+		s.replyRaw(w, s.eng.statsBody()+"END")
+	case OpSave, OpBGSave, OpRestore, OpReshard:
+		// The durability/elasticity verbs. No structure behind them is
+		// transactional, so a window refuses them like any such verb.
+		if ts.active {
+			s.stage(w, cmd, ts)
+			break
+		}
+		switch cmd.Op {
+		case OpSave, OpBGSave:
+			s.reply(w, s.eng.save(cmd.Op == OpBGSave))
+		case OpRestore:
+			s.reply(w, s.eng.restoreFrom(cmd.Key))
+		default:
+			s.reply(w, s.eng.doReshard(int(cmd.Arg)))
+		}
+	default: // the four transaction verbs
+		s.txnVerb(w, cmd.Op, ts)
+	}
+	return true
+}
+
+// txnVerb answers MULTI, EXEC, DISCARD and TXSTATS against the window
+// state; the first arm that matches decides.
+func (s *Server) txnVerb(w *bufio.Writer, op Op, ts *txnState) {
+	r := reply{status: stOK}
+	switch {
+	case s.eng.ks == nil:
+		r = errReply("transactions disabled (-txn off)")
+	case op == OpTxStats:
+		s.replyRaw(w, s.eng.txStatsLine())
+		return
+	case op == OpMulti:
+		if ts.active {
+			ts.dirty = true
+			r = errReply("MULTI calls cannot be nested")
+		}
+		ts.active = true
+	case !ts.active:
+		r = errReply("%s without MULTI", op)
+	case op == OpDiscard:
+		ts.reset()
+	case ts.dirty:
+		ts.reset()
+		r = errReply("EXEC aborted (errors while queueing)")
+	case op == OpExec:
+		replies := s.eng.execTxn(ts.staged)
+		ts.reset()
+		s.replyRaw(w, "*"+strconv.Itoa(len(replies)))
+		for _, res := range replies {
+			s.reply(w, res)
+		}
+		return
+	}
+	s.reply(w, r)
+}
+
+// stage answers one executable line inside an open MULTI window: it
+// queues, or it poisons the window so EXEC refuses.
+func (s *Server) stage(w *bufio.Writer, cmd Command, ts *txnState) {
+	switch {
+	case !ops[cmd.Op].stage:
+		ts.dirty = true
+		s.reply(w, errReply("%s cannot be staged in MULTI", cmd.Op))
+	case len(ts.staged) >= MaxTxnOps:
+		ts.dirty = true
+		s.reply(w, errReply("transaction exceeds %d staged commands", MaxTxnOps))
 	default:
-		if !op.Stageable() {
-			ts.dirty = true
-			return s.reply(w, errReply("%s cannot be staged in MULTI", op))
-		}
-		if len(ts.staged) >= MaxTxnOps {
-			ts.dirty = true
-			return s.reply(w, errReply("transaction exceeds %d staged commands", MaxTxnOps))
-		}
-		ts.staged = append(ts.staged, it.cmd)
-		return s.replyRaw(w, "+QUEUED")
+		ts.staged = append(ts.staged, cmd)
+		s.replyRaw(w, "+QUEUED")
 	}
 }
 
 // reply appends one reply line to the write buffer (the batch loop
-// flushes once per batch); false on a write error.
-func (s *Server) reply(w *bufio.Writer, r reply) bool {
+// flushes once per batch). Neither it nor replyRaw reports a write error:
+// a bufio.Writer keeps its first error, refuses everything after it, and
+// returns it from Flush, which handle checks after every batch — the one
+// place a write can fail.
+func (s *Server) reply(w *bufio.Writer, r reply) {
 	var line string
 	switch r.status {
 	case stOK:
@@ -554,14 +509,12 @@ func (s *Server) reply(w *bufio.Writer, r reply) bool {
 	case stErr:
 		line = "ERR " + r.msg
 	}
-	return s.replyRaw(w, line)
+	s.replyRaw(w, line)
 }
 
-func (s *Server) replyRaw(w *bufio.Writer, line string) bool {
-	if _, err := w.WriteString(line); err != nil {
-		return false
-	}
-	return w.WriteByte('\n') == nil
+func (s *Server) replyRaw(w *bufio.Writer, line string) {
+	_, _ = w.WriteString(line) // sticky in w: Flush reports it (see reply)
+	_ = w.WriteByte('\n')
 }
 
 // Shutdown stops accepting, wakes idle readers so in-flight commands can

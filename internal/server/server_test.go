@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strconv"
@@ -529,6 +530,35 @@ func TestPipelinedSubmitAbortUnblocks(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("submit still blocked after abort: a draining server would deadlock")
+	}
+}
+
+// TestPeerCloseMidPipelineEndsHandler: replies are written without
+// checking each write — the per-batch Flush reports the first failure —
+// so a peer that resets its connection with a deep pipeline in flight,
+// most of it unanswered, must still end its handler goroutine promptly,
+// with no Shutdown to wake it.
+func TestPeerCloseMidPipelineEndsHandler(t *testing.T) {
+	srv := startServer(t, Options{Shards: 2})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Far more reply bytes than the socket buffers hold, never read: the
+	// handler ends up blocked in Flush with the rest of the pipeline queued.
+	go io.WriteString(conn, strings.Repeat("SET 1\nSTATS\nGET 1\n", 20000)) // fails at the Close below
+	if _, err := bufio.NewReader(conn).ReadString('\n'); err != nil {
+		t.Fatalf("first reply: %v", err)
+	}
+	conn.(*net.TCPConn).SetLinger(0) // close with a reset, unread replies and all
+	conn.Close()
+
+	drained := make(chan struct{})
+	go func() { srv.connWG.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler goroutine outlived its peer")
 	}
 }
 

@@ -33,6 +33,7 @@ package server
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -50,7 +51,7 @@ func (e *engine) snapPath() string {
 	return filepath.Join(e.opts.SnapshotDir, snapFile)
 }
 
-// dicts returns the shards' distinct dictionaries. The shards either
+// dicts returns each dictionary the shards use, once. The shards either
 // own one each or all share the keyspace, so comparing against the first
 // is the whole dedup.
 func dicts(shards []*shard) []rangeMap {
@@ -118,113 +119,88 @@ func (e *engine) collect(shards []*shard) (*snapshot.State, error) {
 	sort.Slice(st.Map, func(i, j int) bool { return st.Map[i].Key < st.Map[j].Key })
 	st.Counter = e.counter.read()
 
-	// The unkeyed families have no iterators — their structures are
-	// strictly queue-shaped — so collect drains and refills them. Safe
-	// under the quiesce (no concurrent producer or consumer), and the
-	// refill cannot overflow a bounded backend: it returns exactly what
-	// was just removed.
-	for {
-		v, ok := e.queue.deq()
-		if !ok {
-			break
+	// The pools have no iterators — put and get are the whole object — so
+	// collect drains and refills them. Safe under the quiesce (no
+	// concurrent producer or consumer), and the refill cannot overflow a
+	// bounded backend: it returns exactly what was just removed.
+	for f := famQueue; f <= famPQ; f++ {
+		p, img := e.pools[f], poolImage(st, f)
+		for v, ok := p.get(); ok; v, ok = p.get() {
+			*img = append(*img, v)
 		}
-		st.Queue = append(st.Queue, v)
-	}
-	for _, v := range st.Queue {
-		if err := e.queue.enq(v); err != nil {
-			return nil, fmt.Errorf("snapshot: queue refill: %v", err)
+		if f == famStack {
+			slices.Reverse(*img) // popped top first; stored, and refilled, bottom first
 		}
-	}
-
-	var popped []int64 // top to bottom
-	for {
-		v, ok := e.stack.pop()
-		if !ok {
-			break
-		}
-		popped = append(popped, v)
-	}
-	for i := len(popped) - 1; i >= 0; i-- {
-		st.Stack = append(st.Stack, popped[i]) // stored bottom to top
-	}
-	for _, v := range st.Stack {
-		e.stack.push(v)
-	}
-
-	for {
-		v, ok := e.pq.removeMin()
-		if !ok {
-			break
-		}
-		st.PQ = append(st.PQ, v) // ascending by construction
-	}
-	for _, v := range st.PQ {
-		if err := e.pq.add(v); err != nil {
-			return nil, fmt.Errorf("snapshot: pqueue refill: %v", err)
+		for _, v := range *img {
+			if err := p.put(v); err != nil {
+				return nil, fmt.Errorf("snapshot: %s refill: %v", f, err)
+			}
 		}
 	}
-
 	return st, nil
 }
 
-// collectQuiesced is the shared SAVE/BGSAVE front half: quiesce, read
-// the cut, release. Callers hold reconfigMu.
-func (e *engine) collectQuiesced() (*snapshot.State, error) {
+// poolImage is where a snapshot keeps pool family f's items, in the order
+// that refills it: queue head first, stack bottom first, priorities
+// ascending.
+func poolImage(st *snapshot.State, f family) *[]int64 {
+	switch f {
+	case famQueue:
+		return &st.Queue
+	case famStack:
+		return &st.Stack
+	}
+	return &st.PQ
+}
+
+// save serves SAVE and BGSAVE: collect a consistent cut under the
+// quiesce, release the data plane, then encode and write — outside the
+// quiesce, so the stall seen by concurrent clients is the cut, not the
+// disk. SAVE writes before answering and reports a write error. BGSAVE
+// writes on a background goroutine (stop waits for it) and answers as
+// soon as the cut is taken, so its OK promises only the cut: a failed
+// background write counts into the snap.fail STATS row (the `snap ...
+// fails=` column), which is what operators must watch.
+//
+// Writers publish one at a time and in cut order: one whose cut is older
+// than the image already on disk drops it — counting neither a save nor a
+// fail — so a slow BGSAVE cannot rename its file over a later SAVE's, and
+// SAVE's OK keeps meaning "the file covers everything answered before it".
+func (e *engine) save(background bool) reply {
+	e.reconfigMu.Lock()
 	shards := e.quiesce()
-	defer e.release(shards)
-	return e.collect(shards)
-}
-
-// noteSave records a completed save for STATS.
-func (e *engine) noteSave(bytes int) {
-	e.snapLast.Store(e.refreshCoarse())
-	e.snapBytes.Store(int64(bytes))
-	e.snapSaves.Inc()
-}
-
-// save serves SAVE: collect a consistent cut under the quiesce, release
-// the data plane, then encode and write synchronously. The write happens
-// outside the quiesce — only the collect needs the freeze — so the stall
-// seen by concurrent clients is the cut, not the disk.
-func (e *engine) save() reply {
-	e.reconfigMu.Lock()
-	st, err := e.collectQuiesced()
+	st, err := e.collect(shards)
+	e.release(shards)
+	e.snapCut++
+	cut := e.snapCut
 	e.reconfigMu.Unlock()
 	if err != nil {
 		return errReply("%v", err)
 	}
-	n, err := snapshot.Write(e.snapPath(), st)
-	if err != nil {
-		e.snapFails.Inc()
-		return errReply("%v", err)
+	write := func() reply {
+		e.snapMu.Lock()
+		defer e.snapMu.Unlock()
+		if cut < e.snapDisk {
+			return reply{status: stOK} // the file already covers this cut
+		}
+		n, err := snapshot.Write(e.snapPath(), st)
+		if err != nil {
+			e.snapFails.Inc()
+			return errReply("%v", err)
+		}
+		e.snapDisk = cut
+		e.snapLast.Store(e.refreshCoarse())
+		e.snapBytes.Store(int64(n))
+		e.snapSaves.Inc()
+		return reply{status: stOK}
 	}
-	e.noteSave(n)
-	return reply{status: stOK}
-}
-
-// bgsave serves BGSAVE: the same consistent cut as SAVE, but the encode
-// and write run on a background goroutine (stop waits for it), so the
-// client's reply returns as soon as the cut is taken. The OK therefore
-// promises only the cut, not the disk: a failed background write counts
-// into the snap.fail STATS row (the `snap ... fails=` column), which is
-// what operators must watch; SAVE is the verb with synchronous error
-// reporting.
-func (e *engine) bgsave() reply {
-	e.reconfigMu.Lock()
-	st, err := e.collectQuiesced()
-	e.reconfigMu.Unlock()
-	if err != nil {
-		return errReply("%v", err)
+	if !background {
+		return write()
 	}
 	e.snapWG.Add(1)
 	go func() {
 		defer e.snapWG.Done()
-		n, err := snapshot.Write(e.snapPath(), st)
-		if err != nil {
-			e.snapFails.Inc()
-			return
-		}
-		e.noteSave(n)
+		write()
 	}()
 	return reply{status: stOK}
 }
@@ -238,11 +214,11 @@ func (e *engine) bgsave() reply {
 // The load is all-or-nothing. Everything that can reject an image —
 // reserved sentinel values, bounded queue/pqueue capacities, priority
 // ranges — is validated first by filling fresh scratch instances of the
-// unkeyed backends, before any live state is touched; a refused
+// pools, before any live state is touched; a refused
 // snapshot returns an error with the store exactly as it was. Only then
 // does the mutation phase run, under the full quiesce, with no failure
 // paths left: clear the keyed families, insert the image, and swap the
-// scratch unkeyed structures in.
+// scratch pools in.
 //
 // Mailbox and EXEC traffic cannot observe the half-restored keyspace
 // (the quiesce holds every combiner lock and the ksGate), and neither
@@ -257,24 +233,19 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 		}
 	}
 
-	// Build the unkeyed families off-line: the configured backends apply
-	// their own capacity and range checks element by element, so an image
-	// saved under a roomier configuration (or hand-forged) is rejected
-	// here, before the live structures are cleared.
-	queue := queueBackends[e.opts.Queue](e.opts)
-	for _, v := range st.Queue {
-		if err := queue.enq(v); err != nil {
-			return fmt.Errorf("snapshot: queue restore: %v", err)
-		}
+	// Build the pools off-line: the configured backends apply their own
+	// capacity and range checks element by element, so an image saved under
+	// a roomier configuration (or hand-forged) is rejected here, before the
+	// live structures are cleared.
+	scratch, err := newPools(e.opts)
+	if err != nil {
+		return err
 	}
-	stack := stackBackends[e.opts.Stack](e.opts)
-	for _, v := range st.Stack {
-		stack.push(v)
-	}
-	pq := pqBackends[e.opts.PQueue](e.opts)
-	for _, p := range st.PQ {
-		if err := pq.add(p); err != nil {
-			return fmt.Errorf("snapshot: pqueue restore: %v", err)
+	for f := famQueue; f <= famPQ; f++ {
+		for _, v := range *poolImage(st, f) {
+			if err := scratch[f].put(v); err != nil {
+				return fmt.Errorf("snapshot: %s restore: %v", f, err)
+			}
 		}
 	}
 
@@ -318,11 +289,11 @@ func (e *engine) loadSnapshot(st *snapshot.State) error {
 	}
 	e.counter.set(st.Counter)
 
-	// The unkeyed families swap wholesale to the pre-filled scratch
-	// structures. Safe under the quiesce: these fields are only read by
-	// combiners (all parked on their shard locks) and by collect (which
-	// runs under the same quiesce).
-	e.queue, e.stack, e.pq = queue, stack, pq
+	// The pools swap wholesale to the pre-filled scratch structures. Safe
+	// under the quiesce: the field is only read by combiners (all parked
+	// on their shard locks) and by collect (which runs under the same
+	// quiesce).
+	e.pools = scratch
 	return nil
 }
 

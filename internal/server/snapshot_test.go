@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -444,10 +445,30 @@ func TestReshardValidation(t *testing.T) {
 // the counter must continue from its saved value — on the keyspace and on
 // every -counter backend, into a destination whose counter already took
 // tickets of its own (the restore overwrites the count, it does not add).
+// Every pool backend gets a row too: the items must come back in the
+// family's order — oldest, newest, smallest first — from the restored
+// server and from the source, whose pools the SAVE drained and refilled.
 func TestSaveRestoreServer(t *testing.T) {
 	rows := map[string]Options{"keyspace": {}}
 	for _, name := range CounterBackends() {
 		rows["off-"+name] = Options{Txn: "off", Counter: name}
+	}
+	for _, name := range QueueBackends() {
+		rows["queue-"+name] = Options{Queue: name}
+	}
+	for _, name := range StackBackends() {
+		rows["stack-"+name] = Options{Stack: name}
+	}
+	for _, name := range PQueueBackends() {
+		rows["pqueue-"+name] = Options{PQueue: name}
+	}
+	pooled := func(t *testing.T, c *client) {
+		t.Helper()
+		for _, step := range [][2]string{{"DEQ", "5"}, {"DEQ", "6"}, {"DEQ", "4"}, {"DEQ", "EMPTY"},
+			{"POP", "9"}, {"POP", "8"}, {"POP", "10"}, {"POP", "EMPTY"},
+			{"PQMIN", "1"}, {"PQMIN", "2"}, {"PQMIN", "3"}, {"PQMIN", "EMPTY"}} {
+			c.expect(t, step[0], step[1])
+		}
 	}
 	for name, opts := range rows {
 		t.Run(name, func(t *testing.T) {
@@ -458,10 +479,10 @@ func TestSaveRestoreServer(t *testing.T) {
 			c.expect(t, "SET 7", "1")
 			c.expect(t, "SET 99", "1")
 			c.expect(t, "HSET user:1 41", "1")
-			c.expect(t, "ENQ 5", "OK")
-			c.expect(t, "ENQ 6", "OK")
-			c.expect(t, "PUSH 8", "OK")
-			c.expect(t, "PQADD 3", "OK")
+			for _, line := range []string{"ENQ 5", "ENQ 6", "ENQ 4", "PUSH 10", "PUSH 8", "PUSH 9",
+				"PQADD 3", "PQADD 1", "PQADD 2"} {
+				c.expect(t, line, "OK")
+			}
 			c.expect(t, "INC", "0")
 			c.expect(t, "INC", "1")
 			c.expect(t, "SAVE", "OK")
@@ -469,6 +490,7 @@ func TestSaveRestoreServer(t *testing.T) {
 			c.expect(t, "SET 1000", "1")
 			c.expect(t, "DEL 7", "1")
 			c.expect(t, "INC", "2")
+			pooled(t, c)
 
 			opts.Shards, opts.SnapshotDir = 2, t.TempDir()
 			dst := startServer(t, opts)
@@ -477,6 +499,7 @@ func TestSaveRestoreServer(t *testing.T) {
 				d.expect(t, "INC", strconv.Itoa(i))
 			}
 			d.expect(t, "HSET stale 1", "1")
+			d.expect(t, "PUSH 77", "OK")
 			if err := dst.Restore(src.eng.snapPath()); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -485,10 +508,7 @@ func TestSaveRestoreServer(t *testing.T) {
 			d.expect(t, "GET 1000", "0")
 			d.expect(t, "HGET user:1", "41")
 			d.expect(t, "HGET stale", "EMPTY")
-			d.expect(t, "DEQ", "5")
-			d.expect(t, "DEQ", "6")
-			d.expect(t, "POP", "8")
-			d.expect(t, "PQMIN", "3")
+			pooled(t, d)
 			d.expect(t, "READ", "2")
 			d.expect(t, "INC", "2")
 			d.expect(t, "READ", "3")
@@ -647,6 +667,65 @@ func TestSnapshotWriteFailureCounted(t *testing.T) {
 			t.Fatalf("STATS never showed the two failed writes:\n%s", body)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSnapshotOlderCutNeverOverwritesNewer is the publish-order
+// regression: BGSAVE takes cut 1 and its writer stalls (the test holds the
+// write mutex), a key is written, SAVE takes cut 2 and answers OK. The
+// file must then contain the key whichever writer publishes first: the
+// stalled writer must not rename cut 1 over cut 2 afterwards. Then
+// the drop rule on its own, deterministically: a writer that finds a
+// newer cut on disk leaves the file alone and counts as neither a save
+// nor a fail.
+func TestSnapshotOlderCutNeverOverwritesNewer(t *testing.T) {
+	srv := startServer(t, Options{Shards: 2, SnapshotDir: t.TempDir()})
+	c, e := dial(t, srv), srv.eng
+	cuts := func() uint64 {
+		e.reconfigMu.Lock()
+		defer e.reconfigMu.Unlock()
+		return e.snapCut
+	}
+	holdsKey := func() bool {
+		st, err := snapshot.Read(e.snapPath())
+		if err != nil {
+			t.Fatalf("read snapshot: %v", err)
+		}
+		return slices.ContainsFunc(st.Map, func(ent snapshot.Entry) bool { return ent.Key == "late" })
+	}
+
+	e.snapMu.Lock()
+	c.expect(t, "BGSAVE", "OK") // cut 1; the background writer parks on snapMu
+	c.expect(t, "HSET late 1", "1")
+	saved := make(chan reply, 1)
+	go func() { saved <- e.save(false) }()
+	for deadline := time.Now().Add(5 * time.Second); cuts() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("SAVE never took its cut")
+		}
+	}
+	e.snapMu.Unlock()
+	if r := <-saved; r.status != stOK {
+		t.Fatalf("SAVE → %+v, want OK", r)
+	}
+	e.snapWG.Wait()
+	if !holdsKey() {
+		t.Fatal("the file holds BGSAVE's older cut: it lacks the key SAVE's OK covered")
+	}
+	if saves, fails := e.snapSaves.Value(), e.snapFails.Value(); saves < 1 || saves > 2 || fails != 0 {
+		t.Fatalf("saves=%d fails=%d, want 1 (older cut dropped) or 2 (older cut first), no fails", saves, fails)
+	}
+
+	saves := e.snapSaves.Value()
+	e.snapMu.Lock()
+	c.expect(t, "HDEL late", "1")
+	c.expect(t, "BGSAVE", "OK") // cut 3, without the key
+	e.snapDisk = 4              // as if a SAVE that cut later had already published
+	e.snapMu.Unlock()
+	e.snapWG.Wait()
+	if !holdsKey() || e.snapSaves.Value() != saves || e.snapFails.Value() != 0 {
+		t.Fatalf("an overtaken writer published: key in file %v, saves %d → %d, fails %d",
+			holdsKey(), saves, e.snapSaves.Value(), e.snapFails.Value())
 	}
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -174,6 +175,111 @@ func TestTxnDisabled(t *testing.T) {
 	// ...and the backend row names the -map/-counter structures serving.
 	if !strings.Contains(body, " map=striped ") || !strings.Contains(body, " counter=combining ") {
 		t.Fatalf("STATS backend row does not name the -map/-counter backends:\n%s", body)
+	}
+}
+
+// TestTxnControlMatrix is the whole control plane of the connection loop
+// as one table: each of the eleven control verbs, met with no window, a
+// clean window holding one staged HSET, a window already poisoned, and
+// under -txn off, answers exactly these reply lines and leaves the window
+// in exactly this state. A state reads "idle", "open:N" or "dirty:N" (N
+// staged commands), "closed" is idle plus serveBatch asking to close, and
+// "=" is the state the column started in.
+func TestTxnControlMatrix(t *testing.T) {
+	const (
+		stats   = "<STATS>" // a body from "shards 2" through "END"
+		txstats = "engine=tl2 cm=aggressive commits=0 aborts=0"
+		off     = "ERR transactions disabled (-txn off)"
+		notPath = "ERR RESTORE takes a snapshot filename under -snapshot-dir, not a path"
+	)
+	type cell struct{ reply, after string }
+	noStage := func(verb string) cell { return cell{"ERR " + verb + " cannot be staged in MULTI", "dirty:1"} }
+	columns := []struct {
+		name, start string
+		txn         string
+		setup       []string
+	}{
+		{"no window", "idle", "tl2", nil},
+		{"clean window", "open:1", "tl2", []string{"MULTI", "HSET k 1"}},
+		{"dirty window", "dirty:1", "tl2", []string{"MULTI", "HSET k 1", "PUSH 1"}},
+		{"txn off", "idle", "off", nil},
+	}
+	rows := []struct {
+		line string
+		want [4]cell
+	}{
+		{"STATS", [4]cell{{stats, "="}, {stats, "="}, {stats, "="}, {stats, "="}}},
+		{"PING", [4]cell{{"PONG", "="}, {"PONG", "="}, {"PONG", "="}, {"PONG", "="}}},
+		{"QUIT", [4]cell{{"OK", "closed"}, {"OK", "closed"}, {"OK", "closed"}, {"OK", "closed"}}},
+		{"MULTI", [4]cell{{"OK", "open:0"}, {"ERR MULTI calls cannot be nested", "dirty:1"},
+			{"ERR MULTI calls cannot be nested", "="}, {off, "="}}},
+		{"EXEC", [4]cell{{"ERR EXEC without MULTI", "="}, {"*1\n1", "idle"},
+			{"ERR EXEC aborted (errors while queueing)", "idle"}, {off, "="}}},
+		{"DISCARD", [4]cell{{"ERR DISCARD without MULTI", "="}, {"OK", "idle"}, {"OK", "idle"}, {off, "="}}},
+		{"TXSTATS", [4]cell{{txstats, "="}, {txstats, "="}, {txstats, "="}, {off, "="}}},
+		{"SAVE", [4]cell{{"OK", "="}, noStage("SAVE"), noStage("SAVE"), {"OK", "="}}},
+		{"BGSAVE", [4]cell{{"OK", "="}, noStage("BGSAVE"), noStage("BGSAVE"), {"OK", "="}}},
+		{"RESTORE a/b", [4]cell{{notPath, "="}, noStage("RESTORE"), noStage("RESTORE"), {notPath, "="}}},
+		{"RESHARD 4", [4]cell{{"OK", "="}, noStage("RESHARD"), noStage("RESHARD"), {"OK", "="}}},
+	}
+	state := func(ts *txnState) string {
+		switch {
+		case !ts.active && !ts.dirty && len(ts.staged) == 0:
+			return "idle"
+		case ts.active && ts.dirty:
+			return fmt.Sprintf("dirty:%d", len(ts.staged))
+		case ts.active:
+			return fmt.Sprintf("open:%d", len(ts.staged))
+		}
+		return fmt.Sprintf("invalid %+v", *ts)
+	}
+	for _, row := range rows {
+		for ci, col := range columns {
+			t.Run(row.line+"/"+col.name, func(t *testing.T) {
+				srv, err := New(Options{Shards: 2, Txn: col.txn, SnapshotDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Shutdown(context.Background())
+				var buf bytes.Buffer
+				w, ts := bufio.NewWriter(&buf), &txnState{}
+				serve := func(lines ...string) bool {
+					items := make([]lineItem, len(lines))
+					for i, l := range lines {
+						items[i] = parseItem([]byte(l))
+					}
+					open := srv.serveBatch(w, items, ts)
+					if err := w.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					return open
+				}
+				if !serve(col.setup...) || state(ts) != col.start {
+					t.Fatalf("setup %q left the window %s, want %s", col.setup, state(ts), col.start)
+				}
+				buf.Reset()
+
+				open := serve(row.line)
+				got, want := strings.TrimSuffix(buf.String(), "\n"), row.want[ci]
+				if want.reply == stats {
+					if !strings.HasPrefix(got, "shards 2\n") || !strings.HasSuffix(got, "\nEND") {
+						t.Errorf("reply %q, want a STATS body", got)
+					}
+				} else if got != want.reply {
+					t.Errorf("reply %q, want %q", got, want.reply)
+				}
+				after := state(ts)
+				if !open && after == "idle" {
+					after = "closed"
+				}
+				if want.after == "=" {
+					want.after = col.start
+				}
+				if after != want.after {
+					t.Errorf("window %s afterwards (open=%v), want %s", after, open, want.after)
+				}
+			})
+		}
 	}
 }
 
