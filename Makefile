@@ -31,20 +31,20 @@ bench:
 # The CI gates, runnable locally: pinned subset, 5 repeats. Fails if any
 # epoch steady-state bench — including the wait-free read bypass path —
 # allocates, if the txn bench stops committing, or if the pipelined or
-# adaptive server paths regress past their per-spec ratio over the
-# checked-in BENCH_baseline.json. Writes BENCH_ci.json; in CI the ratio
+# snapshot-under-load server paths regress past their per-spec ratio over
+# the checked-in BENCH_baseline.json. Writes BENCH_ci.json; in CI the ratio
 # comparison also lands in the step summary as a markdown table.
 bench-ci:
 	$(GO) test -run='^$$' -bench='Epoch.*Steady|LockFree.*(EnqDeq|AddRemove)' -benchmem -count=5 \
 		./internal/queue ./internal/list ./internal/skiplist | tee bench.txt
-	$(GO) test -run='^$$' -bench='BenchmarkServerTCP(Pipelined|StringMap|Txn|ReadMostly|Adaptive|Snapshot)|BenchmarkReadBypassSteady' -benchmem -count=5 \
+	$(GO) test -run='^$$' -bench='BenchmarkServerTCP(Pipelined|StringMap|Txn|ReadMostly|Snapshot)|BenchmarkReadBypassSteady' -benchmem -count=5 \
 		./internal/server | tee -a bench.txt
 	$(GO) test -run='^$$' -bench='BenchmarkMailboxVsChan' -benchmem -count=5 \
 		./internal/mailbox | tee -a bench.txt
 	$(GO) run ./cmd/benchgate -in bench.txt -out BENCH_ci.json -gate 'Epoch.*Steady|ReadBypassSteady' \
 		-require 'ServerTCPTxn:commits/op' \
 		-baseline BENCH_baseline.json \
-		-ratio 'ServerTCPPipelined:1.15,ServerTCPAdaptive:1.25,ServerTCPSnapshot:1.40'
+		-ratio 'ServerTCPPipelined:1.15,ServerTCPSnapshot:1.40'
 
 serve:
 	$(GO) run ./cmd/ampserved -addr $(ADDR)

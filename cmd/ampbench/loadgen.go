@@ -75,14 +75,6 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 	}
 	switch cfg.mode {
 	case "", "mix", "map", "txn":
-	case "phases":
-		if cfg.keys <= 0 {
-			return fmt.Errorf("keys (%d) must be positive in phases mode", cfg.keys)
-		}
-		if cfg.mix != "" {
-			return fmt.Errorf("-mix does not apply to phases mode (the schedule sets the ratios)")
-		}
-		return runPhases(cfg, out)
 	case "snapshot":
 		if cfg.keys <= 0 {
 			return fmt.Errorf("keys (%d) must be positive in snapshot mode", cfg.keys)
@@ -92,7 +84,7 @@ func runLoad(cfg loadConfig, out io.Writer) error {
 		}
 		return runSnapshot(cfg, out)
 	default:
-		return fmt.Errorf("unknown load mode %q (have mix, map, txn, phases, snapshot)", cfg.mode)
+		return fmt.Errorf("unknown load mode %q (have mix, map, txn, snapshot)", cfg.mode)
 	}
 	if (cfg.mode == "map" || cfg.mode == "txn") && cfg.keys <= 0 {
 		return fmt.Errorf("keys (%d) must be positive in %s mode", cfg.keys, cfg.mode)

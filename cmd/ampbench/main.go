@@ -19,7 +19,6 @@
 //	ampbench -serve-addr 127.0.0.1:7171 -mode map -keys 4096
 //	ampbench -serve-addr 127.0.0.1:7171 -mode txn -clients 64 -txn-size 2
 //	ampbench -serve-addr 127.0.0.1:7171 -mix 90:10 -keys 1024
-//	ampbench -serve-addr 127.0.0.1:7171 -mode phases -keys 4096
 //	ampbench -serve-addr 127.0.0.1:7171 -mode snapshot -clients 8 -depth 8
 //
 // Each client opens one TCP connection and replays a mix covering all six
@@ -36,13 +35,7 @@
 // server's TXSTATS commit/abort line. -mix R:W replays a ratio-controlled
 // read/write mix (GET/SET/DEL, or HGET/HSET/HDEL in -mode map) and
 // reports p50/p99/p99.9 — the knob EXPERIMENTS.md E18 uses to measure
-// the wait-free read bypass's tail latency. -mode phases replays a
-// fixed schedule of workload regimes — write-heavy↔read-heavy mix
-// swings crossed with hot↔cold key churn — over connections that
-// persist across phases, reporting per-phase and whole-run ops/sec plus
-// the server's morph STATS rows: the probe EXPERIMENTS.md E20 uses to
-// show the adaptive backends morph at phase boundaries and track the
-// per-phase best fixed backend. -mode snapshot replays a steady
+// the read bypass's tail latency. -mode snapshot replays a steady
 // GET/SET/DEL load through five segments — quiet, SAVE landing
 // mid-segment, quiet, RESHARD doubling mid-segment, quiet — and reports
 // each segment's ops/sec and p50/p99 plus the control verb's own
@@ -83,8 +76,8 @@ func run(args []string, out io.Writer) error {
 		serveAddr = fs.String("serve-addr", "", "drive a running ampserved at this address instead of the in-process experiments")
 		clients   = fs.Int("clients", 8, "load mode: concurrent client connections")
 		depth     = fs.Int("depth", 1, "load mode: pipeline depth (commands in flight per connection)")
-		mode      = fs.String("mode", "mix", "load mode workload: mix (all families), map (Zipf string keys), txn (MULTI/EXEC transfers), phases (shifting read/write + hot/cold schedule), or snapshot (p99 before/during/after SAVE and RESHARD)")
-		keys      = fs.Int("keys", 1024, "load mode: key-space (account) size for -mode map/txn/phases/snapshot")
+		mode      = fs.String("mode", "mix", "load mode workload: mix (all families), map (Zipf string keys), txn (MULTI/EXEC transfers), or snapshot (p99 before/during/after SAVE and RESHARD)")
+		keys      = fs.Int("keys", 1024, "load mode: key-space (account) size for -mode map/txn/snapshot")
 		txnSize   = fs.Int("txn-size", 2, "load mode: staged commands per transaction for -mode txn")
 		mix       = fs.String("mix", "", "load mode: read:write ratio like 90:10 (GET/SET/DEL in -mode mix, HGET/HSET/HDEL in -mode map)")
 	)

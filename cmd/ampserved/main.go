@@ -11,8 +11,6 @@
 //	ampserved -set lockfree -map refinable -queue recycling -counter network
 //	ampserved -txn dstm -cm backoff        # MULTI/EXEC over the DSTM engine
 //	ampserved -set skip-epoch -map epoch -txn off   # every read on the wait-free bypass
-//	ampserved -set adaptive -map adaptive -txn off  # coarse, switching to lockfree/epoch while reads dominate
-//	ampserved -morph off                   # freeze adaptive backends on coarse
 //	ampserved -read-bypass off             # force all reads through the shard mailboxes
 //	ampserved -spin 256                    # longer mailbox spin before shard goroutines park
 //	ampserved -http 127.0.0.1:7172         # expvar stats endpoint
@@ -82,11 +80,7 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		cm  = fs.String("cm", "", "DSTM contention manager: "+strings.Join(server.CMBackends(), "|"))
 
 		readBypass = fs.String("read-bypass", "",
-			"wait-free read fast path on capable backends: on|off (default on)")
-		morph = fs.String("morph", "",
-			"live morphing on adaptive backends: on|off (default on)")
-		morphEvery = fs.Int("morph-every", 0,
-			"batch drains between adaptive controller evaluations per shard (default 32)")
+			"mailbox-free read fast path on capable backends: on|off (default on)")
 		spin = fs.Int("spin", 0,
 			"shard mailbox spin budget: empty polls before a shard goroutine parks (0 = default, negative = park immediately)")
 
@@ -112,8 +106,6 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		Txn:            *txn,
 		CM:             *cm,
 		ReadBypass:     *readBypass,
-		Morph:          *morph,
-		MorphEvery:     *morphEvery,
 		SpinBudget:     *spin,
 		SetCapacity:    *setCap,
 		QueueCapacity:  *queueCap,
@@ -135,8 +127,8 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		return err
 	}
 	opts := srv.Options()
-	fmt.Fprintf(out, "ampserved: listening on %s (shards=%d set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s txn=%s cm=%s read-bypass=%s morph=%s spin=%d)\n",
-		srv.Addr(), opts.Shards, opts.Set, opts.Map, opts.Queue, opts.Stack, opts.PQueue, opts.Counter, opts.Txn, opts.CM, opts.ReadBypass, opts.Morph, opts.SpinBudget)
+	fmt.Fprintf(out, "ampserved: listening on %s (shards=%d set=%s map=%s queue=%s stack=%s pqueue=%s counter=%s txn=%s cm=%s read-bypass=%s spin=%d)\n",
+		srv.Addr(), opts.Shards, opts.Set, opts.Map, opts.Queue, opts.Stack, opts.PQueue, opts.Counter, opts.Txn, opts.CM, opts.ReadBypass, opts.SpinBudget)
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {

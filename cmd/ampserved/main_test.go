@@ -2,6 +2,8 @@ package main
 
 import (
 	"bufio"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -150,5 +152,45 @@ func TestRunRejectsBadBackend(t *testing.T) {
 func TestRunRejectsBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, io.Discard, nil); err == nil {
 		t.Fatal("run accepted an unknown flag")
+	}
+}
+
+// TestFlagsMatchREADME keeps the flag table in README.md honest: the set
+// of flags run defines (read off its -h output) and the set the table's
+// first column names must be the same set.
+func TestFlagsMatchREADME(t *testing.T) {
+	var usage strings.Builder
+	if err := run([]string{"-h"}, &usage, nil); !errors.Is(err, flag.ErrHelp) {
+		t.Fatalf("run -h = %v, want flag.ErrHelp", err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1) {
+		defined[m[1]] = true
+	}
+	if len(defined) == 0 {
+		t.Fatalf("no flags parsed from -h output:\n%s", usage.String())
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	flagName := regexp.MustCompile("`-([a-z-]+)`")
+	for _, row := range regexp.MustCompile("(?m)^\\| (`-[^|]*)\\|").FindAllStringSubmatch(string(readme), -1) {
+		for _, m := range flagName.FindAllStringSubmatch(row[1], -1) {
+			documented[m[1]] = true
+		}
+	}
+
+	for name := range defined {
+		if !documented[name] {
+			t.Errorf("-%s is defined by ampserved but missing from README's flag table", name)
+		}
+	}
+	for name := range documented {
+		if !defined[name] {
+			t.Errorf("-%s is in README's flag table but ampserved does not define it", name)
+		}
 	}
 }

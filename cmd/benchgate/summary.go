@@ -20,7 +20,7 @@ type RatioSpec struct {
 }
 
 // parseRatioSpecs splits a comma-separated -ratio value into specs:
-// "ServerTCPPipelined:1.15,ServerTCPAdaptive:1.20". Patterns therefore
+// "ServerTCPPipelined:1.15,ServerTCPSnapshot:1.40". Patterns therefore
 // cannot contain commas; anchor with ^$ instead of enumerating.
 func parseRatioSpecs(s string) ([]RatioSpec, error) {
 	var specs []RatioSpec

@@ -20,11 +20,6 @@
 //	hashset    striped/refinable/split-ordered/cuckoo hash sets (Ch. 13)
 //	strmap     the Ch. 13 lock disciplines as string→int64 maps: coarse,
 //	           striped, refinable, chained phased cuckoo (FNV-1a hashing)
-//	adaptive   self-tuning "adjusted" set/map wrappers that switch the
-//	           live member between coarse and the family's read member
-//	           (lock-free set, epoch map) on the observed read mix,
-//	           flipping at shard batch boundaries with one atomic
-//	           pointer store
 //	skiplist   lazy and lock-free skiplists (Ch. 14)
 //	pqueue     bounded pools, fine-grained heap, skip-queue (Ch. 15)
 //	steal      work-stealing deques and executors (Ch. 16)
@@ -44,9 +39,7 @@
 // Binaries: cmd/ampserved serves the structures over TCP (see
 // internal/server for the protocol); cmd/ampbench regenerates the
 // evaluation tables (experiments E1–E16, see DESIGN.md and
-// EXPERIMENTS.md) and, with -serve-addr, load-tests a running ampserved
-// (including -mode phases, the shifting-workload schedule E20 uses to
-// exercise the adaptive backends' live morphing);
+// EXPERIMENTS.md) and, with -serve-addr, load-tests a running ampserved;
 // cmd/linearize checks recorded histories for linearizability. Runnable
 // walkthroughs live in examples/.
 //

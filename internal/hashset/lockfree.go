@@ -257,8 +257,8 @@ func (s *LockFreeHashSet) Contains(x int) bool {
 // Range enumerates items until f returns false by walking the whole
 // split-ordered list from the head sentinel, skipping sentinels (even
 // keys) and logically deleted nodes. Concurrent with writers it is a
-// weakly consistent snapshot; with writers quiesced (how the adaptive
-// migration calls it) it is exact.
+// weakly consistent snapshot; with writers quiesced (how the server's
+// snapshot cut and reshard call it) it is exact.
 func (s *LockFreeHashSet) Range(f func(x int) bool) {
 	for n := s.head; n != nil; {
 		ref := n.next.Load()

@@ -2,13 +2,15 @@ package hashset
 
 import "testing"
 
+// setRanger is the enumeration the server's snapshot cut, RESTORE's clear
+// and RESHARD's split walk.
 type setRanger interface {
 	Range(f func(x int) bool)
 }
 
-// hookedSets builds one instance of each Ch. 13 lock-discipline set and
+// rangeSets builds one instance of each Ch. 13 lock-discipline set and
 // the lock-free set; each must expose Range.
-func hookedSets() map[string]Set {
+func rangeSets() map[string]Set {
 	return map[string]Set{
 		"coarse":    NewCoarseHashSet(16),
 		"striped":   NewStripedHashSet(16),
@@ -20,7 +22,7 @@ func hookedSets() map[string]Set {
 // TestSetRangeEnumeratesAll loads each backend past its resize trigger
 // and checks Range yields exactly the live membership.
 func TestSetRangeEnumeratesAll(t *testing.T) {
-	for name, s := range hookedSets() {
+	for name, s := range rangeSets() {
 		t.Run(name, func(t *testing.T) {
 			r, ok := s.(setRanger)
 			if !ok {

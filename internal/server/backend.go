@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"amp/internal/adaptive"
 	"amp/internal/core"
 	"amp/internal/counting"
 	"amp/internal/hashset"
@@ -57,26 +56,16 @@ type Options struct {
 	Counter        string // default "combining"; serves only with Txn "off"
 	MetricsCounter string // counting backend for metrics; default "cas"
 
-	// ReadBypass controls the wait-free read fast path: "on" (default)
+	// ReadBypass controls the mailbox-free read fast path: "on" (default)
 	// executes GET/HGET directly on the connection goroutine — under an
 	// epoch pin where the backend needs one — whenever the serving
 	// backend's reads are safe from any goroutine (see the readBypass
 	// capability on the registry entries); "off" forces every read
 	// through the shard mailbox. Reads on non-capable backends, and
 	// reads staged inside MULTI windows, always take the mailbox/tvar
-	// path regardless of this setting.
+	// path regardless of this setting. engine.readLocal says where the
+	// path is wait-free and where it takes a reader lock.
 	ReadBypass string
-
-	// Morph controls live morphing on the "adaptive" set/map backends:
-	// "on" (default) lets each shard's controller migrate its structure
-	// between its write and read members as the observed read/write mix
-	// shifts; "off" freezes the adaptive backends on their boot member
-	// (coarse). Ignored unless an adaptive backend is selected.
-	//
-	// MorphEvery is the number of batch drains between controller
-	// evaluations per shard (default 32).
-	Morph      string
-	MorphEvery int
 
 	// Txn selects the transactional engine serving MULTI/EXEC and, when
 	// enabled, the fast path of the string-map and counter families (so
@@ -110,11 +99,6 @@ type Options struct {
 	// amortized-clock test injects a fake clock here). Nil means
 	// time.Now.
 	clock func() time.Time
-
-	// morphMinOps overrides the adaptive controllers' minimum window
-	// size (tests only: whitebox morph tests shrink it so short
-	// histories still close windows). 0 means the adaptive default.
-	morphMinOps int
 }
 
 func (o Options) withDefaults() Options {
@@ -142,8 +126,6 @@ func (o Options) withDefaults() Options {
 	def(&o.Counter, "combining")
 	def(&o.MetricsCounter, "cas")
 	def(&o.ReadBypass, "on")
-	def(&o.Morph, "on")
-	defInt(&o.MorphEvery, 32)
 	def(&o.Txn, "tl2")
 	def(&o.CM, "aggressive")
 	defInt(&o.SetCapacity, 1024)
@@ -345,37 +327,17 @@ type rangeMap interface {
 }
 
 // row is one -set or -map registry row: a constructor plus the capability
-// that gates the wait-free read fast path. readBypass asserts that
+// that gates the read bypass. readBypass asserts that
 // Contains (Get) on the built structure is safe to call from any goroutine
 // concurrently with the owning shard's writes — true for the lock-free
 // sets, whose reads are CAS-free pointer chases (epoch-pinned where the
 // structure recycles nodes), and the epoch map; false for every
 // lock-based table, where a foreign reader would race the resize/quiesce
-// protocols. The adaptive capability marks the self-tuning meta-backends,
-// whose bypass safety is per-shard and per-moment (the live member
-// decides); the engine consults the shard's controller instead of this
-// table. With -txn on the engine replaces the resolved map row with one
-// whose make returns the shared keyspace.
+// protocols. With -txn on the engine replaces the resolved map row with
+// one whose make returns the shared keyspace.
 type row[T any] struct {
 	make       func(o Options) T
 	readBypass bool
-	adaptive   bool
-}
-
-// morpher is what the engine asks of an adaptive container, whichever
-// keyed family it serves.
-type morpher interface {
-	Tick() (from, to string, flipped bool)
-	BypassOK() bool
-	Current() string
-	Flips() int64
-	Transitions() []adaptive.Transition
-}
-
-// morphConfig renders the -morph options as an adaptive controller
-// configuration (zero fields select the adaptive defaults).
-func (o Options) morphConfig() adaptive.Config {
-	return adaptive.Config{Every: o.MorphEvery, MinOps: int64(o.morphMinOps)}
 }
 
 // Backend constructor tables. Each entry builds a fresh instance from the
@@ -391,11 +353,6 @@ var (
 		// internal/epoch). Ordered-set semantics instead of hashing.
 		"list-epoch": {make: func(o Options) rangeSet { return list.NewEpochList() }, readBypass: true},
 		"skip-epoch": {make: func(o Options) rangeSet { return skiplist.NewEpochSkipList() }, readBypass: true},
-		// Self-tuning meta-backend (internal/adaptive): starts coarse and
-		// switches to the lock-free set while the mix is read-heavy;
-		// reads take the wait-free bypass whenever that is the live member.
-		"adaptive": {make: func(o Options) rangeSet { return adaptive.NewSet(o.SetCapacity, o.morphConfig()) },
-			adaptive: true},
 	}
 	// The map family serves HSET/HGET/HDEL: per-shard string-keyed
 	// dictionaries with open chaining (internal/strmap), mirroring the
@@ -408,11 +365,6 @@ var (
 		// RCU-style epoch-published table: mutex writers, lock-free
 		// epoch-pinned readers — the map family's bypass-capable member.
 		"epoch": {make: func(o Options) rangeMap { return strmap.NewEpochMap(o.SetCapacity) }, readBypass: true},
-		// Self-tuning meta-backend: starts coarse and switches to the
-		// epoch table while the mix is read-heavy, turning the wait-free
-		// HGET bypass on live.
-		"adaptive": {make: func(o Options) rangeMap { return adaptive.NewMap(o.SetCapacity, o.morphConfig()) },
-			adaptive: true},
 	}
 	queueBackends = map[string]func(o Options) pool{
 		"bounded":   func(o Options) pool { return boundedQueue{queue.NewBoundedQueue[int64](o.QueueCapacity)} },

@@ -20,13 +20,11 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"amp/internal/adaptive"
 	"amp/internal/core"
 	"amp/internal/counting"
 	"amp/internal/mailbox"
@@ -131,13 +129,6 @@ type shard struct {
 	// Get-then-Set, atomic per key because HINCR is keyed and a private
 	// dictionary has no writer but this shard's combiner.
 	incr func(key string, delta int64) int64
-
-	// ad[f] is keyed family f's adaptive controller — the same value as
-	// set or dict — when the family runs the adaptive meta-backend (nil
-	// otherwise): the engine asks it for the per-shard dynamic bypass
-	// capability and ticks it at batch boundaries, the morph point where
-	// the structure is quiesced by construction.
-	ad [2]morpher
 
 	// comb is the combiner lock: whoever holds it is the shard's
 	// single consumer, draining the mailbox and executing batches with
@@ -248,11 +239,11 @@ type engine struct {
 	epoch  time.Time
 	coarse atomic.Int64
 
-	// Wait-free read bypass state. bypass[f] says whether keyed family
-	// f's point read (GET, HGET) may execute on the calling (connection)
-	// goroutine: the resolved row's capability under Options.ReadBypass.
-	// The counters split served reads by path for STATS.
-	bypass      [2]bypassMode
+	// Read bypass state. bypass[f] says whether keyed family f's point
+	// read (GET, HGET) may execute on the calling (connection) goroutine:
+	// the resolved row's capability under Options.ReadBypass, fixed at
+	// boot. The counters split served reads by path for STATS.
+	bypass      [2]bool
 	readBypass  metrics.FlatCounter // reads served on connection goroutines
 	readMailbox metrics.FlatCounter // reads that rode a shard mailbox
 
@@ -275,30 +266,6 @@ type engine struct {
 	reconfigHook func()
 }
 
-// bypassMode is one keyed family's read-bypass state, spelled as STATS
-// prints it. Under bypassAdaptive the capability is dynamic — it holds
-// exactly while a shard's live member is its read-optimized one — so
-// canBypass consults the shard instead of a static answer.
-type bypassMode string
-
-const (
-	bypassOff      bypassMode = "off"
-	bypassOn       bypassMode = "on"
-	bypassAdaptive bypassMode = "adaptive"
-)
-
-func bypassOf[T any](r row[T], o Options) bypassMode {
-	switch {
-	case o.ReadBypass != "on":
-		return bypassOff
-	case r.adaptive:
-		return bypassAdaptive
-	case r.readBypass:
-		return bypassOn
-	}
-	return bypassOff
-}
-
 // newEngine builds the structures and starts one goroutine per shard.
 func newEngine(o Options) (*engine, error) {
 	setRow, err := lookup("set", o.Set, setBackends)
@@ -311,9 +278,6 @@ func newEngine(o Options) (*engine, error) {
 	}
 	if o.ReadBypass != "on" && o.ReadBypass != "off" {
 		return nil, fmt.Errorf("server: unknown read-bypass mode %q (have on, off)", o.ReadBypass)
-	}
-	if o.Morph != "on" && o.Morph != "off" {
-		return nil, fmt.Errorf("server: unknown morph mode %q (have on, off)", o.Morph)
 	}
 	pools, err := newPools(o)
 	if err != nil {
@@ -351,6 +315,7 @@ func newEngine(o Options) (*engine, error) {
 			measured = append(measured, info.metric)
 		}
 	}
+	on := o.ReadBypass == "on"
 	e := &engine{
 		opts:       o,
 		setRow:     setRow,
@@ -361,7 +326,7 @@ func newEngine(o Options) (*engine, error) {
 		metrics:    metrics.NewRegistry(factory, measured...),
 		batchSizes: metrics.NewSizeHistogram(factory),
 		epoch:      o.clock(),
-		bypass:     [2]bypassMode{famSet: bypassOf(setRow, o), famMap: bypassOf(mapRow, o)},
+		bypass:     [2]bool{famSet: on && setRow.readBypass, famMap: on && mapRow.readBypass},
 	}
 	e.ext = metrics.Externals{
 		e.readBypass.External("read.bypass"),
@@ -395,9 +360,6 @@ func newEngine(o Options) (*engine, error) {
 			metrics.External{Name: "txn.abort", Read: ks.Aborts},
 		)
 	}
-	if setRow.adaptive || mapRow.adaptive {
-		e.ext = append(e.ext, metrics.External{Name: "morph.flip", Read: e.morphFlips})
-	}
 	for op, info := range ops {
 		if info.metric != "" {
 			e.mops[op] = e.metrics.Op(info.metric)
@@ -423,12 +385,6 @@ func (e *engine) newShard(id core.ThreadID) *shard {
 		dict: e.mapRow.make(e.opts),
 		mbox: mailbox.New[*batch](shardQueueDepth, e.opts.SpinBudget),
 		run:  make([]*batch, 0, shardQueueDepth),
-	}
-	if e.setRow.adaptive {
-		s.ad[famSet] = s.set.(morpher)
-	}
-	if e.mapRow.adaptive {
-		s.ad[famMap] = s.dict.(morpher)
 	}
 	if in, ok := s.dict.(interface{ Incr(string, int64) int64 }); ok {
 		s.incr = in.Incr
@@ -499,28 +455,9 @@ func (e *engine) abort() {
 // when the serving backend's reads are goroutine-agnostic (the resolved
 // row's capability). Callers inside a MULTI window never ask: staged
 // reads ride the tvar commit protocol.
-//
-// On the adaptive backends the answer is per-shard and per-moment: the
-// bypass holds exactly while the key's shard is on its read-optimized
-// member, so the engine asks the shard's live container. A morph racing
-// between this check and the read is handled by readLocal's revalidation
-// (TryGet/TryContains report served=false and the command falls through
-// to the mailbox path). Crucially the check is false while a shard is on
-// its write member, so reads keep riding batches there instead of
-// cutting every pipelined run in two.
 func (e *engine) canBypass(cmd Command) bool {
 	info := &ops[cmd.Op]
-	if !info.read {
-		return false
-	}
-	switch e.bypass[info.family] {
-	case bypassOn:
-		return true
-	case bypassAdaptive:
-		rt := e.router.Load()
-		return rt.shard(keyShard(cmd.ShardKey(), rt.n())).ad[info.family].BypassOK()
-	}
-	return false
+	return info.read && e.bypass[info.family]
 }
 
 // torn reports whether a reconfiguration's mutation phase overlapped a
@@ -538,24 +475,31 @@ func (e *engine) torn(g uint64) bool {
 }
 
 // readLocal serves one bypass-eligible read on the calling goroutine:
-// the wait-free read fast path. The shard's structure is located exactly
-// as the mailbox path would (same hash, same shard), but Contains/Get is
-// invoked directly — under the structure's own epoch pin where it needs
-// one — racing whatever batch the shard goroutine is applying. That race
-// is safe precisely because the registry capability asserted it: the
-// backends publish nodes with atomic stores and retire them through
-// epoch domains, so a concurrent reader observes each write either
-// entirely or not at all, and the read linearizes at its table/chain
-// load inside the call window.
+// the mailbox-free read fast path. The shard's structure is located
+// exactly as the mailbox path would (same hash, same shard), but
+// Contains/Get is invoked directly — under the structure's own epoch pin
+// where it needs one — racing whatever batch the shard goroutine is
+// applying. That race is safe precisely because the registry capability
+// asserted it: the backends publish nodes with atomic stores and retire
+// them through epoch domains, so a concurrent reader observes each write
+// either entirely or not at all, and the read linearizes at its
+// table/chain load inside the call window.
+//
+// What the read can wait for depends on the structure. On the lockfree,
+// list-epoch and skip-epoch sets and the epoch map it is wait-free: a
+// pointer chase, no lock, no CAS. On the keyspace (every HGET under the
+// default -txn tl2) it is not: the key resolves through txn/dir.go's
+// striped sync.RWMutex, so the read takes a reader lock that a first-touch
+// key creation on the same stripe holds exclusively; only the tvar load
+// after it is a plain atomic load.
 //
 // Program order is the caller's job: the server flushes (and awaits) any
 // open mailbox run on the connection before calling readLocal, so a read
 // never overtakes this connection's earlier writes.
 //
-// served=false means an adaptive shard morphed off its read-optimized
-// member between canBypass and here, or a RESTORE or RESHARD overlapped
-// the read (engine.torn); the command was not executed and must ride the
-// mailbox instead.
+// served=false means exactly one thing: a RESTORE or RESHARD overlapped
+// the read (engine.torn). The result is discarded and the command must
+// ride the mailbox instead.
 func (e *engine) readLocal(cmd Command) (reply, bool) {
 	// Sample the generation before the router: a reshard that completes
 	// in between must be caught too, or the read could resolve a source
@@ -564,33 +508,19 @@ func (e *engine) readLocal(cmd Command) (reply, bool) {
 	rt := e.router.Load()
 	s := rt.shard(keyShard(cmd.ShardKey(), rt.n()))
 	var r reply
-	served := true
 	switch cmd.Op {
 	case OpGet:
 		if cmd.Arg < sentinelGuardMin || cmd.Arg > sentinelGuardMax {
 			e.readBypass.Inc()
 			return errReply("key %d is reserved", cmd.Arg), true
 		}
-		var member bool
-		if ad, isAd := s.set.(*adaptive.Set); isAd {
-			member, served = ad.TryContains(int(cmd.Arg))
-		} else {
-			member = s.set.Contains(int(cmd.Arg))
-		}
-		r = reply{status: stInt, val: boolInt(member)}
+		r = reply{status: stInt, val: boolInt(s.set.Contains(int(cmd.Arg)))}
 	case OpHGet:
-		var v int64
-		var ok bool
-		if ad, isAd := s.dict.(*adaptive.Map); isAd {
-			v, ok, served = ad.TryGet(cmd.Key)
-		} else {
-			v, ok = s.dict.Get(cmd.Key)
-		}
-		r = valueReply(v, ok)
+		r = valueReply(s.dict.Get(cmd.Key))
 	default:
 		return errReply("cannot bypass %s", cmd.Op), true
 	}
-	if !served || e.torn(g) {
+	if e.torn(g) {
 		return reply{}, false
 	}
 	e.readBypass.Inc()
@@ -862,35 +792,6 @@ func (e *engine) applyBatch(s *shard, b *batch, now *int64, stale *int) {
 		}
 		i = j
 	}
-	e.afterBatch(s)
-}
-
-// afterBatch is the adaptive backends' morph point: it runs on the
-// combining goroutine right after a batch applies, while s.comb still
-// serializes every writer, so a Tick that decides to morph migrates a
-// structure with zero concurrent mutators. No-op unless morphing is on.
-func (e *engine) afterBatch(s *shard) {
-	if e.opts.Morph != "on" {
-		return
-	}
-	for _, m := range s.ad {
-		if m != nil {
-			m.Tick()
-		}
-	}
-}
-
-// morphFlips sums the controllers' completed morphs across all shards.
-func (e *engine) morphFlips() int64 {
-	var flips int64
-	for _, s := range e.allShards() {
-		for _, m := range s.ad {
-			if m != nil {
-				flips += m.Flips()
-			}
-		}
-	}
-	return flips
 }
 
 // execute applies one command against the shard's set and dictionary or
@@ -967,6 +868,14 @@ func boolInt(b bool) int64 {
 	return 0
 }
 
+// onOff spells a flag the way the -read-bypass option and STATS do.
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
 // execTxn commits one staged MULTI buffer atomically through the
 // transactional keyspace, returning one reply per staged command in
 // order. It runs on the connection goroutine, not on any shard: cross-
@@ -1019,8 +928,7 @@ func (e *engine) statsBody() string {
 	} else {
 		sb.WriteString("txn off\n")
 	}
-	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", e.bypass[famSet], e.bypass[famMap])
-	sb.WriteString(e.morphLines())
+	fmt.Fprintf(&sb, "read-bypass set=%s map=%s\n", onOff(e.bypass[famSet]), onOff(e.bypass[famMap]))
 	fmt.Fprintf(&sb, "mailbox depth=%d spin-budget=%d\n", shardQueueDepth, e.router.Load().shard(0).mbox.SpinBudget())
 	sb.WriteString(e.batchSizes.Format("shard.batch"))
 	sb.WriteString(e.metrics.Format())
@@ -1043,69 +951,6 @@ func (e *engine) snapLine() string {
 	}
 	return fmt.Sprintf("saves=%d fails=%d last-age=%s bytes=%d",
 		saves, fails, age.Round(time.Millisecond), e.snapBytes.Load())
-}
-
-// morphLines renders the adaptive-morphing STATS block: one state line
-// for the two keyed families, then one row per morph edge taken. Fixed
-// backends report state "fixed"; an adaptive family reports its shards'
-// live members as adaptive(name:shards ...), sorted by name.
-func (e *engine) morphLines() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "morph mode=%s every=%d set=%s map=%s flips=%d\n",
-		e.opts.Morph, e.opts.MorphEvery, e.morphState(famSet), e.morphState(famMap), e.morphFlips())
-	sb.WriteString(e.morphEdges(famSet))
-	sb.WriteString(e.morphEdges(famMap))
-	return sb.String()
-}
-
-// morphState renders one keyed family's live-member census.
-func (e *engine) morphState(f family) string {
-	counts := make(map[string]int)
-	for _, s := range e.allShards() {
-		if s.ad[f] == nil {
-			return "fixed"
-		}
-		counts[s.ad[f].Current()]++
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s:%d", n, counts[n])
-	}
-	return "adaptive(" + strings.Join(parts, " ") + ")"
-}
-
-// morphEdges renders one keyed family's morph-transition rows, aggregated
-// over shards and sorted by edge.
-func (e *engine) morphEdges(f family) string {
-	agg := make(map[[2]string]int64)
-	for _, s := range e.allShards() {
-		if s.ad[f] == nil {
-			break
-		}
-		for _, t := range s.ad[f].Transitions() {
-			agg[[2]string{t.From, t.To}] += t.N
-		}
-	}
-	edges := make([][2]string, 0, len(agg))
-	for k := range agg {
-		edges = append(edges, k)
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i][0] != edges[j][0] {
-			return edges[i][0] < edges[j][0]
-		}
-		return edges[i][1] < edges[j][1]
-	})
-	var sb strings.Builder
-	for _, k := range edges {
-		fmt.Fprintf(&sb, "morph %s=%s→%s n=%d\n", f, k[0], k[1], agg[k])
-	}
-	return sb.String()
 }
 
 // Stats exposes the metrics snapshot (for the expvar endpoint).

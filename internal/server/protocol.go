@@ -166,7 +166,7 @@ type opInfo struct {
 	arg    argKind
 	family family
 	put    bool     // pool families: the put() half; the other verb is get()
-	read   bool     // keyed point read: the wait-free bypass candidates
+	read   bool     // keyed point read: the read bypass candidates
 	metric string   // metrics registry row; "" for the unmeasured control verbs
 	stage  bool     // may be queued inside a MULTI window, as kind
 	kind   txn.Kind // meaningful only with stage
@@ -265,7 +265,7 @@ const MaxTxnOps = 128
 func (o Op) Keyed() bool { return o.info().family <= famMap }
 
 // ReadPure reports whether the op observes state without mutating it and
-// addresses a single key: the candidates for the wait-free read bypass.
+// addresses a single key: the candidates for the read bypass.
 // Only keyed point reads qualify — READ and TXSTATS are global, STATS has
 // a multi-line reply, and every other verb mutates.
 func (o Op) ReadPure() bool { return o.info().read }

@@ -4,17 +4,23 @@
 // finish in-flight commands, then force-close stragglers and stop the
 // shards).
 //
-// Reads have a second path. When the selected backend is epoch-safe
-// (lock-free set backends, the epoch map, or the transactional keyspace),
-// GET and HGET skip the shard mailbox entirely and execute on the
-// connection goroutine under an epoch pin — the wait-free read bypass.
+// Reads have a second path. When the selected backend's reads are safe
+// from any goroutine (lock-free set backends, the epoch map, or the
+// transactional keyspace), GET and HGET skip the shard mailbox entirely
+// and execute on the connection goroutine — the read bypass. It is
+// mailbox-free everywhere. It is wait-free on the lockfree, list-epoch
+// and skip-epoch sets and the epoch map (a pointer chase under an epoch
+// pin). On the keyspace — every HGET under the default -txn tl2 — it is a
+// reader lock on the key directory (txn/dir.go's striped RWMutex, which
+// a key's first creation holds exclusively) and then one atomic tvar
+// load: reader-locked until the directory item lands (ROADMAP).
 // serveBatch keeps program order by flushing (and awaiting) the open
 // mailbox run before serving such a read in place, so a read never
 // overtakes the connection's own earlier writes, and reply order stays
 // line order by construction. Reads staged inside a MULTI window, reads
-// on non-epoch-safe backends, and everything under -read-bypass=off ride
-// the mailbox as before. STATS splits the traffic in the
-// `op read.bypass` / `op read.mailbox` rows.
+// on backends without the capability, and everything under
+// -read-bypass=off ride the mailbox as before. STATS splits the traffic
+// in the `op read.bypass` / `op read.mailbox` rows.
 package server
 
 import (
@@ -211,14 +217,18 @@ func (s *Server) handle(conn net.Conn) {
 	ts := &txnState{}
 	defer ts.reset() // drop a mid-MULTI buffer on any teardown path
 
-	// The read deadline is rearmed lazily: every SetReadDeadline is a
-	// runtime timer modification, which at pipelined round-trip rates
-	// costs more than the reads it guards. Rearming only after a quarter
-	// of the idle budget has elapsed keeps at least 3/4 of IdleTimeout
-	// armed ahead of any blocking read while making the rearm cost
-	// amortize to nothing on a busy connection. Shutdown still interrupts
-	// instantly: its SetReadDeadline(now) on every tracked conn overrides
-	// whatever was armed here.
+	// One deadline guards both directions: a silent client fails the
+	// blocking read, and a client that pipelines but never reads its
+	// replies fails the write it stalls (a full bufio buffer mid-batch, or
+	// the Flush below) instead of pinning this goroutine forever. It is
+	// rearmed lazily: every SetDeadline is a runtime timer modification,
+	// which at pipelined round-trip rates costs more than the I/O it
+	// guards. Rearming only after a quarter of the idle budget has elapsed
+	// keeps at least 3/4 of IdleTimeout armed ahead of any blocking read
+	// or write while making the rearm cost amortize to nothing on a busy
+	// connection. Shutdown still interrupts instantly: its
+	// SetReadDeadline(now) on every tracked conn overrides whatever read
+	// deadline was armed here.
 	var armed time.Time
 	for {
 		select {
@@ -227,7 +237,7 @@ func (s *Server) handle(conn net.Conn) {
 		default:
 		}
 		if now := time.Now(); now.Sub(armed) > s.opts.IdleTimeout/4 {
-			conn.SetReadDeadline(now.Add(s.opts.IdleTimeout))
+			conn.SetDeadline(now.Add(s.opts.IdleTimeout))
 			armed = now
 		}
 		line, err := readLine(r)
@@ -385,9 +395,9 @@ func (s *Server) serveBatch(w *bufio.Writer, items []lineItem, ts *txnState) boo
 				if !flushRun() {
 					return false
 				}
-				// served=false means an adaptive shard morphed off its
-				// read-optimized member under us: fall through and let the
-				// read join a run like any mailbox read.
+				// served=false means a RESTORE or RESHARD overlapped the
+				// read: fall through and let it join a run like any
+				// mailbox read.
 				if r, served := s.eng.readLocal(it.cmd); served {
 					s.reply(w, r)
 					continue

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
+	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -495,9 +497,33 @@ func TestPipelinedBulk(t *testing.T) {
 	}
 	c.expect(t, "GET 500", "1")
 
+	// The STATS contract: the rows go run ./benchmark parses out of a
+	// default-flag server (benchmark/serverproc.go), batch-size histogram
+	// included. Each must open a line, byte for byte.
 	body := readStats(t, c, c.cmd(t, "STATS"))
-	if !strings.Contains(body, "hist shard.batch count=") {
-		t.Fatalf("STATS missing batch-size histogram:\n%s", body)
+	for _, row := range []string{
+		`backend set=striped map=keyspace queue=\S+ stack=\S+ pqueue=\S+ counter=keyspace metrics-counter=\S+$`,
+		`txn engine=tl2 cm=\S+$`,
+		`read-bypass set=off map=on$`,
+		`op read\.bypass count=0$`,
+		`op read\.mailbox count=1$`,
+		`op shard\.combine\.caller count=\d+$`,
+		`op shard\.combine\.shard count=\d+$`,
+		`op shard\.spin count=\d+$`,
+		`op shard\.park count=\d+$`,
+		`hist shard\.batch count=[1-9]\d* sum=1001 `,
+	} {
+		if !regexp.MustCompile(`(?m)^` + row).MatchString(body) {
+			t.Errorf("STATS has no line matching %q", row)
+		}
+	}
+	// ... and no kind of line beyond the ones a default-flag server has
+	// always printed.
+	if stray := regexp.MustCompile(`(?m)^(?:shards|backend|snap|txn|read-bypass|mailbox|hist|op) .*\n`).ReplaceAllString(body, ""); stray != "" {
+		t.Errorf("STATS has lines of an unknown kind:\n%s", stray)
+	}
+	if t.Failed() {
+		t.Logf("STATS:\n%s", body)
 	}
 }
 
@@ -757,6 +783,47 @@ func TestIdleTimeout(t *testing.T) {
 	if _, err := c.r.ReadString('\n'); err == nil {
 		t.Fatal("idle connection not closed")
 	}
+}
+
+// TestSlowReaderIsDropped: a client that pipelines and never reads its
+// replies stalls the server's write once the socket buffers fill. The
+// connection deadline must cover that write too, so the goroutine gives
+// the connection up within IdleTimeout instead of blocking in Flush forever.
+func TestSlowReaderIsDropped(t *testing.T) {
+	srv := startServer(t, Options{Shards: 2, IdleTimeout: 200 * time.Millisecond})
+	c := dial(t, srv)
+	tracked := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.conns)
+	}
+	c.expect(t, "PING", "PONG")
+	if n := tracked(); n != 1 {
+		t.Fatalf("tracked connections = %d, want 1", n)
+	}
+
+	// Stream STATS (a multi-line reply per six-byte request) and never
+	// read. The writer stops when the server drops the connection, or when
+	// its own send buffer fills behind a server that stopped reading.
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		lines := bytes.Repeat([]byte("STATS\n"), 512)
+		for {
+			c.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			if _, err := c.conn.Write(lines); err != nil {
+				return
+			}
+		}
+	}()
+
+	for deadline := time.Now().Add(5 * time.Second); tracked() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatalf("tracked connections = %d after 5s, want 0: a never-reading client pins its goroutine", tracked())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	<-stopped // a write into the dropped connection fails, or hits its 1 s deadline
 }
 
 // TestGracefulShutdown drives traffic from several clients, shuts the

@@ -24,8 +24,8 @@
 // has no per-shard home: reshard leaves it alone, and collect and
 // loadSnapshot visit it once (dicts).
 //
-// RESTORE and RESHARD mutate keyed state under wait-free bypass readers,
-// which hold no lock; both bracket their mutation phase with the
+// RESTORE and RESHARD mutate keyed state under bypass readers, which
+// hold no shard lock; both bracket their mutation phase with the
 // engine.topoGen seqlock, and readLocal refuses any read that overlapped
 // one.
 package server
@@ -222,9 +222,9 @@ func (e *engine) save(background bool) reply {
 //
 // Mailbox and EXEC traffic cannot observe the half-restored keyspace
 // (the quiesce holds every combiner lock and the ksGate), and neither
-// can the wait-free read bypass: the mutation phase is bracketed by
+// can the read bypass: the mutation phase is bracketed by
 // topoGen increments, and readLocal re-checks the generation after
-// every lock-free structure access, retrying through the mailbox on
+// every structure access, retrying through the mailbox on
 // overlap.
 func (e *engine) loadSnapshot(st *snapshot.State) error {
 	for _, x := range st.Set {

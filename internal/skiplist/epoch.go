@@ -334,8 +334,8 @@ func (s *EpochSkipList) Min() (int, bool) {
 	return 0, false
 }
 
-// Range is Ascend under the migration-capability name the adaptive and
-// snapshot layers look for.
+// Range is Ascend under the enumeration name the server's snapshot and
+// reshard paths look for.
 func (s *EpochSkipList) Range(f func(x int) bool) { s.Ascend(f) }
 
 // Ascend calls f on each key in ascending order, skipping logically

@@ -5,14 +5,15 @@ import (
 	"testing"
 )
 
-// ranger is the migration capability the adaptive meta-backend asserts.
+// ranger is the enumeration the server's snapshot cut, RESTORE's clear and
+// RESHARD's split walk.
 type ranger interface {
 	Range(f func(key string, val int64) bool)
 }
 
-// hookedMaps builds one instance of every map backend; each must expose
-// the Range capability.
-func hookedMaps() map[string]Map {
+// rangeMaps builds one instance of every map backend; each must expose
+// Range.
+func rangeMaps() map[string]Map {
 	return map[string]Map{
 		"coarse":       NewCoarseMap(16),
 		"striped":      NewStripedMap(16),
@@ -23,10 +24,10 @@ func hookedMaps() map[string]Map {
 }
 
 // TestRangeEnumeratesAll loads each backend past its resize trigger and
-// checks Range yields exactly the live entries — the invariant the
-// adaptive migration depends on.
+// checks Range yields exactly the live entries — the invariant SAVE,
+// RESTORE and RESHARD depend on.
 func TestRangeEnumeratesAll(t *testing.T) {
-	for name, m := range hookedMaps() {
+	for name, m := range rangeMaps() {
 		t.Run(name, func(t *testing.T) {
 			r, ok := m.(ranger)
 			if !ok {
