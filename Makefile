@@ -3,7 +3,7 @@
 GO ?= go
 ADDR ?= 127.0.0.1:7171
 
-.PHONY: build test race vet loc bench bench-ci serve load
+.PHONY: build test race vet loc bench bench-ci bench-record bench-check serve load
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,22 @@ bench-ci:
 		-require 'ServerTCPTxn:commits/op' \
 		-baseline BENCH_baseline.json \
 		-ratio 'ServerTCPPipelined:1.15,ServerTCPSnapshot:1.40'
+
+# One trajectory point: the repo benchmark's full report (every workload,
+# untraced then traced), checked in at the repo root as BENCH_<pr>.json —
+# outside BENCHMARK.json's paths, so any PR may add its own.
+#	make bench-record PR=21
+bench-record:
+	@test -n "$(PR)" || { echo 'usage: make bench-record PR=<number>'; exit 2; }
+	$(GO) run ./benchmark --out BENCH_$(PR).json
+
+# Every checked-in trajectory point must still parse as a benchmark report
+# (BENCH_baseline.json is benchgate's format, not a report).
+bench-check:
+	@for f in BENCH_[0-9]*.json; do \
+		[ -e "$$f" ] || continue; \
+		$(GO) run ./benchmark/compare "$$f" "$$f" >/dev/null || { echo "$$f: not a benchmark report"; exit 1; }; \
+	done
 
 serve:
 	$(GO) run ./cmd/ampserved -addr $(ADDR)

@@ -878,14 +878,15 @@ func onOff(b bool) string {
 
 // execTxn commits one staged MULTI buffer atomically through the
 // transactional keyspace, returning one reply per staged command in
-// order. It runs on the connection goroutine, not on any shard: cross-
+// order (in the window's scratch: valid until its next EXEC). It runs on the connection goroutine, not on any shard: cross-
 // shard atomicity comes from the STM commit protocol, so the buffer
 // never travels through the shard mailboxes at all.
-func (e *engine) execTxn(staged []Command) []reply {
-	tops := make([]txn.Op, len(staged))
-	for i, cmd := range staged {
-		tops[i] = txn.Op{Kind: ops[cmd.Op].kind, Key: cmd.Key, Val: cmd.Arg}
+func (e *engine) execTxn(ts *txnState) []reply {
+	tops := ts.ops[:0]
+	for _, cmd := range ts.staged {
+		tops = append(tops, txn.Op{Kind: ops[cmd.Op].kind, Key: cmd.Key, Val: cmd.Arg})
 	}
+	ts.ops = tops
 	// The read side of ksGate lets a quiescing snapshot (which already
 	// holds every shard combiner, freezing all other keyspace writers)
 	// freeze EXEC commits too — the one keyspace mutator that runs on a
@@ -894,17 +895,18 @@ func (e *engine) execTxn(staged []Command) []reply {
 	e.ksGate.RLock()
 	results := e.ks.Exec(tops)
 	e.ksGate.RUnlock()
-	replies := make([]reply, len(staged))
+	replies := ts.replies[:0]
 	for i, res := range results {
 		switch tops[i].Kind {
 		case txn.Get:
-			replies[i] = valueReply(res.Val, res.Flag)
+			replies = append(replies, valueReply(res.Val, res.Flag))
 		case txn.Set, txn.Del:
-			replies[i] = reply{status: stInt, val: boolInt(res.Flag)}
+			replies = append(replies, reply{status: stInt, val: boolInt(res.Flag)})
 		default: // Incr, CtrInc, CtrRead
-			replies[i] = reply{status: stInt, val: res.Val}
+			replies = append(replies, reply{status: stInt, val: res.Val})
 		}
 	}
+	ts.replies = replies
 	return replies
 }
 

@@ -37,6 +37,7 @@ import (
 
 	"amp/internal/metrics"
 	"amp/internal/snapshot"
+	"amp/internal/txn"
 )
 
 // Server is the ampserved TCP server. Construct with New, then Listen and
@@ -187,6 +188,9 @@ type txnState struct {
 	active bool
 	dirty  bool
 	staged []Command
+	// execTxn's scratch, reused from one EXEC to the next.
+	ops     []txn.Op
+	replies []reply
 }
 
 func (ts *txnState) reset() {
@@ -473,7 +477,7 @@ func (s *Server) txnVerb(w *bufio.Writer, op Op, ts *txnState) {
 		ts.reset()
 		r = errReply("EXEC aborted (errors while queueing)")
 	case op == OpExec:
-		replies := s.eng.execTxn(ts.staged)
+		replies := s.eng.execTxn(ts)
 		ts.reset()
 		s.replyRaw(w, "*"+strconv.Itoa(len(replies)))
 		for _, res := range replies {

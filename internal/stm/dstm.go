@@ -260,6 +260,37 @@ func (v *OFTVar[T]) Set(tx *OFTx, value T) {
 	}
 }
 
+// Update is the one-object commit: one CAS on start installs a locator
+// that is born committed (owner committedTx, oldV the current committed
+// version, newV what f returns), so it needs no OFTx, read set or status
+// CAS. A nil return leaves the object unchanged. An active owner goes to
+// the contention manager as in Set. f may run more than once and must
+// treat *old as read-only.
+func (v *OFTVar[T]) Update(s *OFSTM, f func(old *T) *T) {
+	var manager ContentionManager
+	for {
+		loc := v.start.Load()
+		var cur *T
+		switch loc.owner.statusOf() {
+		case ofCommitted:
+			cur = loc.newV
+		case ofAborted:
+			cur = loc.oldV
+		default:
+			if manager == nil {
+				manager = s.newManager()
+			}
+			manager.Resolve(nil, loc.owner)
+			continue
+		}
+		next := f(cur)
+		if next == nil || v.start.CompareAndSwap(loc, &ofLocator[T]{owner: committedTx, oldV: cur, newV: next}) {
+			s.commits.Add(1)
+			return
+		}
+	}
+}
+
 // validateRead reports whether the recorded version is still the one this
 // variable would return.
 func (v *OFTVar[T]) validateRead(tx *OFTx, expected any) bool {

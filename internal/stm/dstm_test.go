@@ -290,3 +290,49 @@ func TestRereadAfterRivalCommit(t *testing.T) {
 		})
 	}
 }
+
+// TestOFUpdateAgainstTransactions is TestUpdateAgainstTransactions for the
+// obstruction-free engine's one-object commit.
+func TestOFUpdateAgainstTransactions(t *testing.T) {
+	const (
+		workers = 4
+		perW    = 300
+	)
+	for name, s := range ofUniverses() {
+		t.Run(name, func(t *testing.T) {
+			x, y := NewOFTVar(0), NewOFTVar(0)
+			bump := func(old *int) *int { next := *old + 1; return &next }
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perW; i++ {
+						if (w+i)%2 == 0 {
+							x.Update(s, bump)
+							continue
+						}
+						s.Atomic(func(tx *OFTx) {
+							if x.Get(tx) < y.Get(tx) {
+								t.Error("audit saw y ahead of x")
+							}
+							x.Set(tx, x.Get(tx)+1)
+							y.Set(tx, y.Get(tx)+1)
+						})
+					}
+				}()
+			}
+			wg.Wait()
+			if gx, gy := x.Load(), y.Load(); gx != workers*perW || gy != workers*perW/2 {
+				t.Fatalf("x, y = %d, %d, want %d, %d (lost updates)", gx, gy, workers*perW, workers*perW/2)
+			}
+			if s.Commits() != workers*perW {
+				t.Fatalf("Commits = %d, want %d", s.Commits(), workers*perW)
+			}
+			x.Update(s, func(*int) *int { return nil })
+			if x.Load() != workers*perW {
+				t.Fatal("a nil Update changed the value")
+			}
+		})
+	}
+}

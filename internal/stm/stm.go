@@ -16,10 +16,24 @@
 // Aborts propagate as a private panic that Atomic catches — user code
 // simply stops at the failed Get/Set, so a transaction never observes an
 // inconsistent snapshot (the "zombie" problem of §18.3 cannot arise).
+//
+// A transaction on one location needs none of that bookkeeping, and
+// TVar.Update is that case on its own: lock the location's version word,
+// read, take a fresh clock value, publish the value and then the version.
+// Its read set would be one location it already holds locked, so there is
+// nothing to record, order or validate. It keeps the lock word and the
+// clock because they are all a concurrent Atomic attempt checks: one that
+// read the location earlier fails commit validation (word locked, or newer
+// than its read version), one that reads it later fails Get's
+// post > readVersion test and retries on a fresh snapshot. So Update and
+// Atomic are mutually linearizable and every attempt stays opaque.
 package stm
 
 import (
-	"sort"
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,9 +69,7 @@ var tvarIDs atomic.Uint64
 
 // tvar is the type-erased view of a TVar that Tx works with.
 type tvar interface {
-	metaWord() *atomic.Uint64
-	commit(staged any, wv uint64)
-	order() uint64
+	publish(staged any, wv uint64)
 }
 
 // TVar is a transactional variable holding a value of type T.
@@ -74,14 +86,10 @@ func NewTVar[T any](init T) *TVar[T] {
 	return v
 }
 
-func (v *TVar[T]) metaWord() *atomic.Uint64 { return &v.meta }
-func (v *TVar[T]) order() uint64            { return v.id }
-
-// commit installs the staged value and releases the lock by publishing the
+// publish installs the staged *T and releases the lock by publishing the
 // new version (write-back, then unlock, in one store).
-func (v *TVar[T]) commit(staged any, wv uint64) {
-	value := staged.(T)
-	v.val.Store(&value)
+func (v *TVar[T]) publish(staged any, wv uint64) {
+	v.val.Store(staged.(*T))
 	v.meta.Store(wv) // release: wv has lockedBit clear
 }
 
@@ -91,11 +99,37 @@ func (v *TVar[T]) Load() T {
 	return *v.val.Load()
 }
 
+// updateSpins is how often Update polls a locked word between yields.
+const updateSpins = 64
+
+// Update is the one-location commit: it locks v's version word, hands f
+// the committed value, and publishes what f returns under a fresh clock
+// value; a nil return releases the word unchanged, with no clock bump.
+// Either way it counts as one commit. f runs under the lock: it must not
+// block, panic or touch another TVar, and must treat *old as read-only.
+// Update holds one lock and never waits while holding it, and Tx.commit
+// aborts rather than waits on a locked word, so it cannot deadlock.
+func (v *TVar[T]) Update(s *STM, f func(old *T) *T) {
+	word := v.meta.Load()
+	for spins := 1; word&lockedBit != 0 || !v.meta.CompareAndSwap(word, word|lockedBit); spins++ {
+		if spins%updateSpins == 0 {
+			runtime.Gosched()
+		}
+		word = v.meta.Load()
+	}
+	if next := f(v.val.Load()); next != nil {
+		word = s.clock.Add(1)
+		v.val.Store(next)
+	}
+	v.meta.Store(word)
+	s.commits.Add(1)
+}
+
 // Get reads the TVar inside a transaction, aborting (and retrying the
 // whole transaction) if a consistent value cannot be proven.
 func (v *TVar[T]) Get(tx *Tx) T {
-	if staged, ok := tx.writes[tvar(v)]; ok {
-		return staged.(T)
+	if i, staged := tx.find(v.id); staged {
+		return *tx.writes[i].staged.(*T)
 	}
 	pre := v.meta.Load()
 	value := v.val.Load()
@@ -103,22 +137,49 @@ func (v *TVar[T]) Get(tx *Tx) T {
 	if pre != post || post&lockedBit != 0 || post > tx.readVersion {
 		tx.abort()
 	}
-	tx.reads = append(tx.reads, v)
+	tx.reads = append(tx.reads, ref{v.id, &v.meta})
 	return *value
 }
 
-// Set stages a write to the TVar; it becomes visible on commit.
+// Set stages a write to the TVar; it becomes visible on commit. The one
+// allocation is the *T that commit publishes as is.
 func (v *TVar[T]) Set(tx *Tx, value T) {
-	tx.writes[tvar(v)] = value
+	i, staged := tx.find(v.id)
+	if !staged {
+		tx.writes = slices.Insert(tx.writes, i, write{ref: ref{v.id, &v.meta}, v: v})
+	}
+	tx.writes[i].staged = &value
+}
+
+// ref is a read-set entry: a location's id and version word.
+type ref struct {
+	id   uint64
+	meta *atomic.Uint64
+}
+
+// write is a write-set entry: the location and the *T staged for it.
+type write struct {
+	ref
+	v      tvar
+	staged any
 }
 
 // Tx is one transaction attempt. It must only be used within the Atomic
-// call that created it.
+// call that created it; Atomic recycles it through txPool afterwards.
 type Tx struct {
 	stm         *STM
 	readVersion uint64
-	reads       []tvar
-	writes      map[tvar]any
+	reads       []ref
+	writes      []write // sorted by id, which is also the commit lock order
+}
+
+var txPool = sync.Pool{New: func() any { return new(Tx) }}
+
+// find returns where id sits (or would be inserted) in the write set.
+func (tx *Tx) find(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(tx.writes, id, func(w write, id uint64) int {
+		return cmp.Compare(w.id, id)
+	})
 }
 
 // abortSignal is the private panic payload that unwinds an attempt.
@@ -139,27 +200,27 @@ func (tx *Tx) Retry() {
 // an attempt commits. fn must confine its shared-state access to Get/Set
 // on TVars and must be safe to re-execute.
 func (s *STM) Atomic(fn func(tx *Tx)) {
+	tx := txPool.Get().(*Tx)
+	tx.stm = s
 	var backoff *spin.Backoff
-	for {
-		if s.attempt(fn) {
-			s.commits.Add(1)
-			return
-		}
+	for !tx.attempt(fn) {
 		s.aborts.Add(1)
 		if backoff == nil {
 			backoff = spin.NewBackoff(time.Microsecond, 128*time.Microsecond)
 		}
 		backoff.Pause()
 	}
+	s.commits.Add(1)
+	txPool.Put(tx)
 }
 
 // attempt runs fn once, reporting whether it committed.
-func (s *STM) attempt(fn func(tx *Tx)) (committed bool) {
-	tx := &Tx{
-		stm:         s,
-		readVersion: s.clock.Load(),
-		writes:      make(map[tvar]any),
-	}
+func (tx *Tx) attempt(fn func(tx *Tx)) (committed bool) {
+	// Empty both sets, keeping their storage but not what it pointed at.
+	clear(tx.reads)
+	clear(tx.writes)
+	tx.reads, tx.writes = tx.reads[:0], tx.writes[:0]
+	tx.readVersion = tx.stm.clock.Load()
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(abortSignal); ok {
@@ -180,43 +241,36 @@ func (tx *Tx) commit() bool {
 		// already; nothing to publish.
 		return true
 	}
-	locked := make([]tvar, 0, len(tx.writes))
-	ordered := make([]tvar, 0, len(tx.writes))
-	for v := range tx.writes {
-		ordered = append(ordered, v)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order() < ordered[j].order() })
-
-	release := func() {
-		for _, v := range locked {
-			meta := v.metaWord()
-			meta.Store(meta.Load() &^ lockedBit)
+	// release unlocks the first n locations of the write set unchanged.
+	release := func(n int) bool {
+		for _, w := range tx.writes[:n] {
+			w.meta.Store(w.meta.Load() &^ lockedBit)
 		}
+		return false
 	}
-	for _, v := range ordered {
-		meta := v.metaWord()
-		cur := meta.Load()
-		if cur&lockedBit != 0 || cur > tx.readVersion || !meta.CompareAndSwap(cur, cur|lockedBit) {
-			release()
-			return false
+	for i, w := range tx.writes {
+		cur := w.meta.Load()
+		if cur&lockedBit != 0 || cur > tx.readVersion || !w.meta.CompareAndSwap(cur, cur|lockedBit) {
+			return release(i)
 		}
-		locked = append(locked, v)
 	}
 	writeVersion := tx.stm.clock.Add(1)
 	// Validate reads: unlocked (unless we hold the lock) and not newer than
 	// our snapshot.
 	for _, r := range tx.reads {
-		cur := r.metaWord().Load()
-		if _, isWrite := tx.writes[r]; isWrite {
-			cur &^= lockedBit // we hold this lock ourselves
+		cur := r.meta.Load()
+		if cur&lockedBit != 0 {
+			if _, mine := tx.find(r.id); !mine {
+				return release(len(tx.writes))
+			}
+			cur &^= lockedBit
 		}
-		if cur&lockedBit != 0 || cur > tx.readVersion {
-			release()
-			return false
+		if cur > tx.readVersion {
+			return release(len(tx.writes))
 		}
 	}
-	for _, v := range ordered {
-		v.commit(tx.writes[v], writeVersion)
+	for _, w := range tx.writes {
+		w.v.publish(w.staged, writeVersion)
 	}
 	return true
 }

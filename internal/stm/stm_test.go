@@ -276,3 +276,49 @@ func TestReadOnlyTransactionCommits(t *testing.T) {
 		t.Fatalf("read-only transactions aborted %d times with no writers", s.Aborts())
 	}
 }
+
+// TestUpdateAgainstTransactions: one-location commits and two-location
+// transactions on the same variables lose no update, every auditing
+// transaction sees the pair equal, and each completed operation is one
+// commit. A nil return leaves the variable and the clock alone.
+func TestUpdateAgainstTransactions(t *testing.T) {
+	const (
+		workers = 4
+		perW    = 500
+	)
+	s := New()
+	x, y := NewTVar(0), NewTVar(0)
+	bump := func(old *int) *int { next := *old + 1; return &next }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perW; i++ {
+				if (w+i)%2 == 0 {
+					x.Update(s, bump)
+					continue
+				}
+				s.Atomic(func(tx *Tx) {
+					if x.Get(tx) < y.Get(tx) {
+						t.Error("audit saw y ahead of x")
+					}
+					x.Set(tx, x.Get(tx)+1)
+					y.Set(tx, y.Get(tx)+1)
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	if gx, gy := x.Load(), y.Load(); gx != workers*perW || gy != workers*perW/2 {
+		t.Fatalf("x, y = %d, %d, want %d, %d (lost updates)", gx, gy, workers*perW, workers*perW/2)
+	}
+	if s.Commits() != workers*perW {
+		t.Fatalf("Commits = %d, want %d", s.Commits(), workers*perW)
+	}
+	clock := s.clock.Load()
+	x.Update(s, func(*int) *int { return nil })
+	if x.Load() != workers*perW || s.clock.Load() != clock || x.meta.Load()&lockedBit != 0 {
+		t.Fatal("a nil Update changed the value, advanced the clock or kept the lock")
+	}
+}

@@ -43,46 +43,43 @@ func (k *dstmKeyspace) Get(key string) (int64, bool) {
 	return v.v, v.present
 }
 
-func (k *dstmKeyspace) Set(key string, v int64) bool {
-	c := k.cellOf(key)
-	var inserted bool
-	k.stm.Atomic(func(tx *stm.OFTx) {
-		inserted = !c.Get(tx).present
-		c.Set(tx, cell{v: v, present: true})
+// Set, Del, Incr, Inc and SetCounter are one-object commits
+// (stm.OFTVar.Update): one pre-committed locator, no OFTx.
+func (k *dstmKeyspace) Set(key string, v int64) (inserted bool) {
+	k.cellOf(key).Update(k.stm, func(old *cell) *cell {
+		inserted = !old.present
+		return &cell{v: v, present: true}
 	})
 	return inserted
 }
 
-func (k *dstmKeyspace) Del(key string) bool {
+func (k *dstmKeyspace) Del(key string) (removed bool) {
 	c := k.dir.get(key)
 	if c == nil {
 		return false
 	}
-	var removed bool
-	k.stm.Atomic(func(tx *stm.OFTx) {
-		removed = c.Get(tx).present
-		if removed {
-			c.Set(tx, cell{})
+	c.Update(k.stm, func(old *cell) *cell {
+		if removed = old.present; !removed {
+			return nil
 		}
+		return &cell{}
 	})
 	return removed
 }
 
-func (k *dstmKeyspace) Incr(key string, delta int64) int64 {
-	c := k.cellOf(key)
-	var out int64
-	k.stm.Atomic(func(tx *stm.OFTx) {
-		out = c.Get(tx).v + delta
-		c.Set(tx, cell{v: out, present: true})
+func (k *dstmKeyspace) Incr(key string, delta int64) (out int64) {
+	k.cellOf(key).Update(k.stm, func(old *cell) *cell {
+		out = old.v + delta // absent reads as 0
+		return &cell{v: out, present: true}
 	})
 	return out
 }
 
-func (k *dstmKeyspace) Inc() int64 {
-	var old int64
-	k.stm.Atomic(func(tx *stm.OFTx) {
-		old = k.ctr.Get(tx)
-		k.ctr.Set(tx, old+1)
+func (k *dstmKeyspace) Inc() (old int64) {
+	k.ctr.Update(k.stm, func(cur *int64) *int64 {
+		old = *cur
+		next := old + 1
+		return &next
 	})
 	return old
 }
@@ -103,7 +100,7 @@ func (k *dstmKeyspace) Range(f func(key string, v int64) bool) {
 
 // SetCounter overwrites the counter (snapshot restore).
 func (k *dstmKeyspace) SetCounter(v int64) {
-	k.stm.Atomic(func(tx *stm.OFTx) { k.ctr.Set(tx, v) })
+	k.ctr.Update(k.stm, func(*int64) *int64 { return &v })
 }
 
 func (k *dstmKeyspace) Exec(ops []Op) []Result {

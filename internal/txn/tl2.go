@@ -17,10 +17,7 @@ func newTL2() *tl2Keyspace {
 }
 
 func (k *tl2Keyspace) cellOf(key string) *stm.TVar[cell] {
-	return k.dir.getOrCreate(key, func() *stm.TVar[cell] {
-		v := stm.NewTVar(cell{})
-		return v
-	})
+	return k.dir.getOrCreate(key, func() *stm.TVar[cell] { return stm.NewTVar(cell{}) })
 }
 
 // Get is the read-only fast path: a key with no tvar has never been
@@ -35,46 +32,43 @@ func (k *tl2Keyspace) Get(key string) (int64, bool) {
 	return v.v, v.present
 }
 
-func (k *tl2Keyspace) Set(key string, v int64) bool {
-	c := k.cellOf(key)
-	var inserted bool
-	k.stm.Atomic(func(tx *stm.Tx) {
-		inserted = !c.Get(tx).present
-		c.Set(tx, cell{v: v, present: true})
+// Set, Del, Incr, Inc and SetCounter are one-location commits
+// (stm.TVar.Update): the tvar's versioned lock and the clock, no Tx.
+func (k *tl2Keyspace) Set(key string, v int64) (inserted bool) {
+	k.cellOf(key).Update(k.stm, func(old *cell) *cell {
+		inserted = !old.present
+		return &cell{v: v, present: true}
 	})
 	return inserted
 }
 
-func (k *tl2Keyspace) Del(key string) bool {
+func (k *tl2Keyspace) Del(key string) (removed bool) {
 	c := k.dir.get(key)
 	if c == nil {
 		return false
 	}
-	var removed bool
-	k.stm.Atomic(func(tx *stm.Tx) {
-		removed = c.Get(tx).present
-		if removed {
-			c.Set(tx, cell{})
+	c.Update(k.stm, func(old *cell) *cell {
+		if removed = old.present; !removed {
+			return nil
 		}
+		return &cell{}
 	})
 	return removed
 }
 
-func (k *tl2Keyspace) Incr(key string, delta int64) int64 {
-	c := k.cellOf(key)
-	var out int64
-	k.stm.Atomic(func(tx *stm.Tx) {
-		out = c.Get(tx).v + delta // absent reads as 0
-		c.Set(tx, cell{v: out, present: true})
+func (k *tl2Keyspace) Incr(key string, delta int64) (out int64) {
+	k.cellOf(key).Update(k.stm, func(old *cell) *cell {
+		out = old.v + delta // absent reads as 0
+		return &cell{v: out, present: true}
 	})
 	return out
 }
 
-func (k *tl2Keyspace) Inc() int64 {
-	var old int64
-	k.stm.Atomic(func(tx *stm.Tx) {
-		old = k.ctr.Get(tx)
-		k.ctr.Set(tx, old+1)
+func (k *tl2Keyspace) Inc() (old int64) {
+	k.ctr.Update(k.stm, func(cur *int64) *int64 {
+		old = *cur
+		next := old + 1
+		return &next
 	})
 	return old
 }
@@ -95,7 +89,7 @@ func (k *tl2Keyspace) Range(f func(key string, v int64) bool) {
 
 // SetCounter overwrites the counter (snapshot restore).
 func (k *tl2Keyspace) SetCounter(v int64) {
-	k.stm.Atomic(func(tx *stm.Tx) { k.ctr.Set(tx, v) })
+	k.ctr.Update(k.stm, func(*int64) *int64 { return &v })
 }
 
 func (k *tl2Keyspace) Exec(ops []Op) []Result {

@@ -6,9 +6,13 @@
 // commit protocol (TL2 commit-time versioned locks, or DSTM status-word
 // CAS) rather than any 2-phase dance over shard mailboxes.
 //
-// The single-key fast path (Get/Set/Del/Incr, Inc/Counter) goes through
-// the same tvars, so non-transactional traffic and transactions are
-// mutually linearizable: a plain HGET can never observe a torn EXEC.
+// The single-key path (Get/Set/Del/Incr, Inc/Counter) goes through the
+// same tvars without running a transaction: a write is the engine's
+// one-location commit (stm.TVar.Update: the tvar's versioned lock and the
+// global clock; stm.OFTVar.Update: one pre-committed locator), which is
+// all an Exec attempt validates against. So plain traffic and transactions
+// are mutually linearizable — a plain HGET can never observe a torn EXEC —
+// and every Exec attempt, aborted ones included, reads one snapshot.
 package txn
 
 import (
